@@ -1,10 +1,14 @@
 """Bisimulation equivalence: maximal relation, decision, quotient, isomorphism.
 
-The maximal bisimulation is computed by partition refinement on the
-disjoint union of the two machines: states start grouped by output set and
-blocks are split by their outgoing (label, target-block) signatures until
-the partition is stable.  A brute-force greatest-fixpoint oracle over the
-dense pair table is provided for cross-checking.
+Every question is answered by one partition refinement of the disjoint
+union of the machines involved (Kanellakis & Smolka 1990): states start
+grouped by output set and blocks are split by their outgoing
+(label, target-block) signatures until the partition is stable.  Two
+states are bisimilar iff they share a block, so R*, the bisimilarity
+verdict, the self-partition and the isomorphism candidate are all read off
+the block ids that :func:`_blocks` returns.  A brute-force
+greatest-fixpoint oracle over the dense pair table is provided for
+cross-checking.
 """
 
 from __future__ import annotations
@@ -61,37 +65,56 @@ def _refine(n_states, outputs, succ):
         n_blocks = len(new_of)
 
 
-def _union_index(m1: Fsm, m2: Fsm):
-    """Index the disjoint union of two machines for refinement.
+def _blocks(*machines) -> list:
+    """Refine the disjoint union of ``machines`` once.
 
-    Returns (n, outputs, succ, offsets) where states of ``m1`` occupy
-    0..|X1|-1 and states of ``m2`` follow.
+    Labels are interned across all machines, so block ids are comparable
+    between them.  Returns, per machine, a dict state -> block id; two
+    states (of the same or of different machines) are bisimilar iff their
+    block ids are equal.
     """
-    idx1 = {s: i for i, s in enumerate(m1.states)}
-    off = len(m1.states)
-    idx2 = {s: i + off for i, s in enumerate(m2.states)}
-    n = off + len(m2.states)
-
     labels = {}
+    outputs = []
+    succ = []
+    offsets = []
+    for m in machines:
+        off = len(outputs)
+        idx = {s: off + i for i, s in enumerate(m.states)}
+        outputs += [m.output_map[s] for s in m.states]
+        succ += [[] for _ in m.states]
+        for src, label, dst in m.transitions:
+            succ[idx[src]].append((labels.setdefault(label, len(labels)), idx[dst]))
+        offsets.append(off)
+    block = _refine(len(outputs), outputs, succ)
+    return [
+        dict(zip(m.states, block[off:off + len(m.states)]))
+        for m, off in zip(machines, offsets)
+    ]
 
-    def lab_id(label):
-        i = labels.get(label)
-        if i is None:
-            i = len(labels)
-            labels[label] = i
-        return i
 
-    outputs = [None] * n
-    succ = [[] for _ in range(n)]
-    for s in m1.states:
-        outputs[idx1[s]] = m1.output_map[s]
-    for s in m2.states:
-        outputs[idx2[s]] = m2.output_map[s]
-    for src, label, dst in m1.transitions:
-        succ[idx1[src]].append((lab_id(label), idx1[dst]))
-    for src, label, dst in m2.transitions:
-        succ[idx2[src]].append((lab_id(label), idx2[dst]))
-    return n, outputs, succ, idx1, idx2
+def _pairs(b1: dict, b2: dict) -> frozenset:
+    """R* as state pairs, read off the block ids of two machines."""
+    by_block = {}
+    for s, b in b2.items():
+        by_block.setdefault(b, []).append(s)
+    return frozenset((s1, s2) for s1, b in b1.items() for s2 in by_block.get(b, ()))
+
+
+def _verdict(m1: Fsm, m2: Fsm, b1: dict, b2: dict) -> bool:
+    """m1 = m2 up to bisimulation, given their block ids in one refinement.
+
+    With initial states on both sides the verdict is membership of the
+    initial pair in R*; with no initial states anywhere it is totality of
+    R*, i.e. both machines occupy the same set of blocks.  Mixed presence
+    is rejected, since the two acceptance conditions differ.
+    """
+    if (m1.initial is None) != (m2.initial is None):
+        raise InitialStateMismatch(
+            f"{m1.id} and {m2.id} disagree on declaring an initial state"
+        )
+    if m1.initial is not None:
+        return b1[m1.initial] == b2[m2.initial]
+    return set(b1.values()) == set(b2.values())
 
 
 def max_bisimulation(m1: Fsm, m2: Fsm) -> frozenset:
@@ -100,16 +123,7 @@ def max_bisimulation(m1: Fsm, m2: Fsm) -> frozenset:
     Two states are related iff they end up in the same block of the
     refined partition of the disjoint union.
     """
-    n, outputs, succ, idx1, idx2 = _union_index(m1, m2)
-    block = _refine(n, outputs, succ)
-    by_block = {}
-    for s, i in idx2.items():
-        by_block.setdefault(block[i], []).append(s)
-    pairs = set()
-    for s1, i in idx1.items():
-        for s2 in by_block.get(block[i], ()):
-            pairs.add((s1, s2))
-    return frozenset(pairs)
+    return _pairs(*_blocks(m1, m2))
 
 
 def self_partition(m: Fsm) -> tuple:
@@ -117,19 +131,11 @@ def self_partition(m: Fsm) -> tuple:
 
     Blocks are frozensets of state ids, sorted by their least member.
     """
-    idx = {s: i for i, s in enumerate(m.states)}
-    labels = {}
-    succ = [[] for _ in m.states]
-    for src, label, dst in m.transitions:
-        i = labels.setdefault(label, len(labels))
-        succ[idx[src]].append((i, idx[dst]))
-    outputs = [m.output_map[s] for s in m.states]
-    block = _refine(len(m.states), outputs, succ)
+    (block,) = _blocks(m)
     groups = {}
-    for s in m.states:
-        groups.setdefault(block[idx[s]], []).append(s)
-    blocks = [frozenset(g) for g in groups.values()]
-    return tuple(sorted(blocks, key=min))
+    for s, b in block.items():
+        groups.setdefault(b, []).append(s)
+    return tuple(sorted(map(frozenset, groups.values()), key=min))
 
 
 def naive_bisim_oracle(m1: Fsm, m2: Fsm, guard: int = 10**6) -> frozenset:
@@ -166,28 +172,13 @@ def naive_bisim_oracle(m1: Fsm, m2: Fsm, guard: int = 10**6) -> frozenset:
     return frozenset(rel)
 
 
-def _is_total(rel, m1: Fsm, m2: Fsm) -> bool:
-    left = {a for a, _ in rel}
-    right = {b for _, b in rel}
-    return left == set(m1.states) and right == set(m2.states)
-
-
 def is_bisimilar(m1: Fsm, m2: Fsm) -> bool:
     """Decide m1 = m2 up to bisimulation.
 
-    With initial states on both sides the verdict is membership of the
-    initial pair in R*; with no initial states anywhere it is totality of
-    R*.  Mixed presence is rejected, since the two acceptance conditions
-    differ.
+    The initial pair must be in R*; with no initial states anywhere, R*
+    must be total.  Mixed presence raises :class:`InitialStateMismatch`.
     """
-    if (m1.initial is None) != (m2.initial is None):
-        raise InitialStateMismatch(
-            f"{m1.id} and {m2.id} disagree on declaring an initial state"
-        )
-    rel = max_bisimulation(m1, m2)
-    if m1.initial is not None:
-        return (m1.initial, m2.initial) in rel
-    return _is_total(rel, m1, m2)
+    return _verdict(m1, m2, *_blocks(m1, m2))
 
 
 def _accessible_part(m: Fsm) -> Fsm:
@@ -246,12 +237,6 @@ def quotient(m: Fsm) -> Fsm:
     )
 
 
-def _is_minimal(m: Fsm) -> bool:
-    if len(_accessible_part(m).states) != len(m.states):
-        return False
-    return all(len(b) == 1 for b in self_partition(m))
-
-
 def _iso_candidate_check(m1: Fsm, m2: Fsm, mapping: dict) -> bool:
     """Verify that ``mapping`` is an isomorphism witness."""
     if len(mapping) != len(m1.states) or len(set(mapping.values())) != len(m2.states):
@@ -301,36 +286,45 @@ def _general_iso(m1: Fsm, m2: Fsm, guard: int) -> bool:
                 return False
         return True
 
-    def rec(i):
-        if i == len(order):
-            return _iso_candidate_check(m1, m2, mapping)
-        s1 = order[i]
-        for s2 in by_out2[m1.output_map[s1]]:
-            if s2 in used:
-                continue
-            if m1.initial is not None and (s1 == m1.initial) != (s2 == m2.initial):
-                continue
-            if degree_key(m1, s1) != degree_key(m2, s2):
-                continue
-            if not feasible(s1, s2):
-                continue
-            mapping[s1] = s2
-            used.add(s2)
-            if rec(i + 1):
-                return True
-            del mapping[s1]
-            used.discard(s2)
-        return False
+    def candidates(s1):
+        # lazily filtered, so ``used`` and ``mapping`` are read when the
+        # search comes back to this position, not when it first arrives
+        return (
+            s2
+            for s2 in by_out2[m1.output_map[s1]]
+            if s2 not in used
+            and (m1.initial is None or (s1 == m1.initial) == (s2 == m2.initial))
+            and degree_key(m1, s1) == degree_key(m2, s2)
+            and feasible(s1, s2)
+        )
 
-    return rec(0)
+    # depth-first search with an explicit stack of candidate iterators,
+    # one per assigned position of ``order``
+    stack = [candidates(order[0])]
+    while stack:
+        s1 = order[len(stack) - 1]
+        if s1 in mapping:
+            used.discard(mapping.pop(s1))
+        s2 = next(stack[-1], None)
+        if s2 is None:
+            stack.pop()
+            continue
+        mapping[s1] = s2
+        used.add(s2)
+        if len(stack) < len(order):
+            stack.append(candidates(order[len(stack)]))
+        elif _iso_candidate_check(m1, m2, mapping):
+            return True
+    return False
 
 
 def is_isomorphic(m1: Fsm, m2: Fsm, guard: int = 12) -> bool:
     """Decide whether a state bijection preserves initial, outputs and edges.
 
-    When both machines are minimal (all self-bisimulation blocks are
-    singletons) the check is polynomial: R*(m1, m2) must pair the states
-    one-to-one, and the induced bijection is verified directly.  Otherwise
+    One refinement of m1 + m2 settles the common case.  An isomorphism is
+    a bisimulation, so it maps each state into its own block; when each
+    machine's states fall in distinct blocks (both are self-minimal) the
+    R* pairing is the only candidate and is verified directly.  Otherwise
     a backtracking search with output-class pruning is used, guarded by
     ``guard`` states per output class.
     """
@@ -339,18 +333,11 @@ def is_isomorphic(m1: Fsm, m2: Fsm, guard: int = 12) -> bool:
     if (m1.initial is None) != (m2.initial is None):
         return False
 
-    if _is_minimal(m1) and _is_minimal(m2):
-        rel = max_bisimulation(m1, m2)
-        fwd = {}
-        back = {}
-        for a, b in rel:
-            fwd.setdefault(a, set()).add(b)
-            back.setdefault(b, set()).add(a)
-        if len(fwd) != len(m1.states) or len(back) != len(m2.states):
+    b1, b2 = _blocks(m1, m2)
+    state_in = {b: s for s, b in b2.items()}
+    if len(state_in) == len(m2.states) == len(set(b1.values())):
+        if any(b not in state_in for b in b1.values()):
             return False
-        if any(len(v) != 1 for v in fwd.values()) or any(len(v) != 1 for v in back.values()):
-            return False
-        mapping = {a: next(iter(v)) for a, v in fwd.items()}
-        return _iso_candidate_check(m1, m2, mapping)
+        return _iso_candidate_check(m1, m2, {s: state_in[b] for s, b in b1.items()})
 
     return _general_iso(m1, m2, guard)

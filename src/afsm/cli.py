@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 
 from .model import Arena, Fsm, ModelError, validate_arena, validate_fsm
-from .bisim import is_bisimilar, max_bisimulation, naive_bisim_oracle, quotient
+from .bisim import _blocks, _pairs, _verdict, naive_bisim_oracle, quotient
 from .expand import DEFAULT_MAX_STATES, GuardExceeded, expand, state_count
 from .compositional import (
     comp_bisimulation,
@@ -97,8 +97,9 @@ def cmd_check_bisim(args) -> tuple[int, RunReport]:
     m2 = _get_fsm(doc, args.m2)
     report = RunReport("check-bisim", [args.file])
     t0 = time.perf_counter()
-    verdict = is_bisimilar(m1, m2)
-    rel = max_bisimulation(m1, m2)
+    b1, b2 = _blocks(m1, m2)
+    verdict = _verdict(m1, m2, b1, b2)
+    rel = _pairs(b1, b2)
     if args.oracle:
         if rel != naive_bisim_oracle(m1, m2):
             raise CliError("oracle divergence: refinement and fixpoint disagree")
@@ -121,8 +122,8 @@ def cmd_expand(args) -> tuple[int, RunReport]:
     try:
         comp = expand(arena, mode=mode, max_states=args.max_states)
     except GuardExceeded as exc:
-        count = exc.count if exc.count is not None else state_count(arena)
-        raise CliError(f"{exc} (analytic state count: {count})") from exc
+        what = "states seen" if args.accessible else "analytic state count"
+        raise CliError(f"{exc} ({what}: {exc.count})") from exc
     report.statistics["states"] = len(comp.states)
     report.statistics["transitions"] = len(comp.transitions)
     report.statistics["elapsed_ms"] = round((time.perf_counter() - t0) * 1000, 3)

@@ -1,10 +1,11 @@
 """Compositional bisimulation of arenas.
 
-Vertices are grouped into machine-equivalence classes; each arena is then
-summarised by a small induced machine (one state per vertex, outputs =
+Vertices are grouped into machine-equivalence classes by one partition
+refinement of the disjoint union of their distinct machines; each arena is
+then summarised by a small induced machine (one state per vertex, outputs =
 class tokens, edges relabelled with the empty input set).  Compositional
-bisimilarity of two arenas is totality of the maximal bisimulation between
-their induced machines, which never touches the product state space.
+bisimilarity of two arenas is bisimilarity of their induced machines under
+the totality convention, which never touches the product state space.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 from .model import Arena, Fsm, ModelError, validate_arena
 from .bisim import (
     InitialStateMismatch,
+    _blocks,
     is_bisimilar,
     max_bisimulation,
     quotient,
@@ -68,41 +70,22 @@ def machine_classes(a1: Arena, a2: Arena | None = None) -> MachineClasses:
             "machines disagree on declaring initial states; classes would be ill-defined"
         )
 
-    # bucket by invariants that bisimilar machines must share, then run
-    # the pairwise check only against one representative per class
-    buckets = {}
+    # one refinement of the distinct machines (Fsm is unhashable, so they
+    # are told apart by identity); a machine's class is the block of its
+    # initial state, or under the totality convention its set of blocks
+    machines = list({id(fsm): fsm for _, _, fsm in tagged}.values())
+    key_of = {
+        id(fsm): block[fsm.initial] if fsm.initial is not None else frozenset(block.values())
+        for fsm, block in zip(machines, _blocks(*machines))
+    }
+    groups = {}
     for tag, v, fsm in tagged:
-        if fsm.initial is not None:
-            key = tuple(sorted(fsm.output_map[fsm.initial]))
-        else:
-            key = None
-        buckets.setdefault(key, []).append((tag, v, fsm))
-
-    reps = []  # (class ordinal, representative fsm)
-    member_class = {}
-    classes = []
-    for key in buckets:
-        local_reps = []
-        for tag, v, fsm in buckets[key]:
-            placed = False
-            for k, rep in local_reps:
-                if fsm is rep or fsm == rep or is_bisimilar(fsm, rep):
-                    member_class[(tag, v)] = k
-                    classes[k].append((tag, v))
-                    placed = True
-                    break
-            if not placed:
-                k = len(classes)
-                classes.append([(tag, v)])
-                local_reps.append((k, fsm))
-                member_class[(tag, v)] = k
+        groups.setdefault(key_of[id(fsm)], []).append((tag, v))
 
     # canonical order: by least member of each class
-    order = sorted(range(len(classes)), key=lambda k: min(classes[k]))
-    renumber = {old: new for new, old in enumerate(order)}
-    final_classes = tuple(frozenset(classes[old]) for old in order)
-    index = {m: renumber[k] for m, k in member_class.items()}
-    return MachineClasses(classes=final_classes, class_index=index)
+    classes = tuple(sorted(map(frozenset, groups.values()), key=min))
+    index = {m: k for k, members in enumerate(classes) for m in members}
+    return MachineClasses(classes=classes, class_index=index)
 
 
 def induce_fsm(arena: Arena, classes: MachineClasses, arena_index: int = 0) -> Fsm:
@@ -139,10 +122,8 @@ def comp_bisimulation(a1: Arena, a2: Arena) -> frozenset:
 
 def is_comp_bisimilar(a1: Arena, a2: Arena) -> bool:
     """Decide compositional bisimilarity via the induced machines."""
-    rel = comp_bisimulation(a1, a2)
-    left = {a for a, _ in rel}
-    right = {b for _, b in rel}
-    return left == set(a1.vertex_ids) and right == set(a2.vertex_ids)
+    classes = machine_classes(a1, a2)
+    return is_bisimilar(induce_fsm(a1, classes, 0), induce_fsm(a2, classes, 1))
 
 
 def arena_vertex_partition(arena: Arena) -> tuple:

@@ -25,7 +25,12 @@ class ExpansionError(ModelError):
 
 
 class GuardExceeded(ExpansionError):
-    """Requested expansion is larger than the state guard."""
+    """Requested expansion is larger than the state guard.
+
+    ``count`` is the analytic state count of a full expansion, or the
+    number of distinct states an accessible expansion had found when the
+    guard fired.
+    """
 
     def __init__(self, message, count=None):
         super().__init__(message)
@@ -84,7 +89,20 @@ def state_count(arena: Arena) -> int:
 
 
 def composite_name(parts) -> str:
-    return PART_SEP.join(parts)
+    """A state id for a composite state, injective on tuples of one arity.
+
+    Parts without a dot are joined with dots, which leaves exactly
+    ``len(parts) - 1`` dots in the name.  State ids may contain dots, so a
+    tuple that has a dotted part is escaped (``+`` -> ``++``, ``.`` -> ``+-``)
+    and led by one more dot: its name has ``len(parts)`` dots and can match
+    no plain name, and the escape can be undone part by part.
+    """
+    name = PART_SEP.join(parts)
+    if name.count(PART_SEP) == len(parts) - 1:
+        return name
+    return PART_SEP + PART_SEP.join(
+        p.replace("+", "++").replace(PART_SEP, "+-") for p in parts
+    )
 
 
 class _Expander:
@@ -191,7 +209,7 @@ def expand(arena: Arena, mode: str = "accessible", max_states: int = DEFAULT_MAX
                     if len(seen) >= max_states:
                         raise GuardExceeded(
                             f"accessible expansion of {arena.id} exceeded the guard {max_states}",
-                            count=None,
+                            count=len(seen) + 1,
                         )
                     seen.add(dst)
                     frontier.append(dst)

@@ -145,13 +145,7 @@ def parse(text: str, source: str | None = None) -> ModelDocument:
                         initial=acc["initial"],
                     )
                 else:
-                    vertices = {}
-                    for v, fsm_name in acc["nodes"].items():
-                        if fsm_name not in doc.fsms:
-                            raise FormatError(
-                                f"arena {name!r}: unknown machine {fsm_name!r}", acc["line"]
-                            )
-                        vertices[v] = doc.fsms[fsm_name]
+                    vertices = {v: doc.fsms[n] for v, n in acc["nodes"].items()}
                     doc.arenas[name] = validate_arena(name, vertices, acc["edges"])
                     doc.arena_nodes[name] = dict(acc["nodes"])
             except FormatError:
@@ -204,7 +198,14 @@ def parse(text: str, source: str | None = None) -> ModelDocument:
                 vid = _require_token(toks[1], "vertex id", line_no)
                 if vid in acc["nodes"]:
                     raise DuplicateName(f"duplicate vertex {vid!r}", line_no)
-                acc["nodes"][vid] = _require_token(toks[2], "machine name", line_no)
+                fsm_name = _require_token(toks[2], "machine name", line_no)
+                # blocks do not nest, so every machine an arena can use is
+                # already defined when its node line is read
+                if fsm_name not in doc.fsms:
+                    raise FormatError(
+                        f"arena {name!r}: unknown machine {fsm_name!r}", line_no
+                    )
+                acc["nodes"][vid] = fsm_name
             elif kw == "edge":
                 if len(toks) != 3:
                     raise FormatError("'edge' takes two vertex ids", line_no)

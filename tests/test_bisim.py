@@ -1,12 +1,18 @@
+import contextlib
+import io
+import itertools
 import random
 
 import pytest
 
 from afsm import (
     InitialStateMismatch,
+    bisim,
+    fixture_path,
     is_bisimilar,
     is_isomorphic,
     load_fixture,
+    machine_classes,
     max_bisimulation,
     naive_bisim_oracle,
     quotient,
@@ -14,6 +20,7 @@ from afsm import (
     validate_fsm,
 )
 from afsm.bisim import TooLarge, TooLargeForGeneralIso
+from afsm.cli import run
 from conftest import bloated_copy, random_fsm, renamed_copy
 
 
@@ -201,6 +208,71 @@ def test_general_iso_guard():
     m = validate_fsm("m", states, [], [], {s: [] for s in states}, [])
     with pytest.raises(TooLargeForGeneralIso):
         is_isomorphic(m, m)
+
+
+def test_general_iso_is_not_limited_by_the_recursion_depth():
+    # 1,200 states in bisimilar groups of 4: not minimal, so the
+    # backtracking search assigns all 1,200 states one after another
+    n = 1200
+    states = [f"s{i}" for i in range(n)]
+    m = validate_fsm(
+        "m", states, [], [f"y{k}" for k in range(n // 4)],
+        {f"s{i}": [f"y{i // 4}"] for i in range(n)},
+        [(f"s{i}", [], f"s{(i + 4) % n}") for i in range(n)],
+    )
+    assert is_isomorphic(m, m)
+
+
+def _brute_force_isomorphic(m1, m2):
+    if len(m1.states) != len(m2.states):
+        return False
+    for image in itertools.permutations(m2.states):
+        f = dict(zip(m1.states, image))
+        if (
+            (m1.initial is None or f[m1.initial] == m2.initial)
+            and all(m1.output_map[s] == m2.output_map[f[s]] for s in m1.states)
+            and {(f[a], u, f[b]) for a, u, b in m1.transitions} == set(m2.transitions)
+        ):
+            return True
+    return False
+
+
+def test_is_isomorphic_on_minimal_but_inaccessible_machines():
+    # self-minimal (the oracle's R*(m, m) is the identity) with states
+    # unreachable from the initial one
+    rng = random.Random(2010)
+    found = []
+    while len(found) < 12:
+        m = random_fsm(rng, "m", max_states=5, max_outputs=3)
+        identity = {(s, s) for s in m.states}
+        reachable = {m.initial} | {d for s in m.states for _, d in m.successors(s)}
+        if naive_bisim_oracle(m, m) == identity and reachable != set(m.states):
+            found.append(m)
+    for m in found:
+        assert is_isomorphic(m, renamed_copy(rng, m, "mr"))
+    for m1 in found:
+        for m2 in found:
+            assert is_isomorphic(m1, m2) == _brute_force_isomorphic(m1, m2)
+
+
+def test_each_question_is_one_refinement(monkeypatch):
+    calls = []
+    refine = bisim._refine
+    monkeypatch.setattr(bisim, "_refine", lambda *a: calls.append(1) or refine(*a))
+
+    doc = load_fixture("counterexample.afsm")
+    machine_classes(doc.arenas["A1"], doc.arenas["A2"])
+    assert len(calls) == 1
+
+    calls.clear()
+    m1 = load_fixture("euclid.afsm").fsms["M1"]
+    assert is_isomorphic(m1, renamed_copy(random.Random(2011), m1, "r"))
+    assert len(calls) == 1
+
+    calls.clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(["check-bisim", str(fixture_path("euclid.afsm")), "M1", "M1"]) == 0
+    assert len(calls) == 1
 
 
 def test_bisimilar_quotients_are_isomorphic():

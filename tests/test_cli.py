@@ -76,6 +76,13 @@ def test_expand_guard_reports_analytic_count():
     assert "3623878656" in err
 
 
+def test_expand_accessible_guard_reports_states_seen():
+    code, _, err = invoke("expand", ECOLI, "ecoli", "--accessible", "--max-states", "50")
+    assert code == 2
+    assert "states seen: 51" in err
+    assert "3623878656" not in err
+
+
 def test_minimize(tmp_path):
     out_path = tmp_path / "min.afsm"
     code, out, _ = invoke("minimize", EUCLID, "M3", "-o", str(out_path))

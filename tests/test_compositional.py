@@ -23,7 +23,7 @@ from afsm import (
     verify_theorem_4_2,
 )
 from afsm.compositional import ClassCoverageGap
-from conftest import random_arena, random_fsm, renamed_copy
+from conftest import bloated_copy, random_arena, random_fsm, renamed_copy
 
 
 def two_loop_machine():
@@ -55,14 +55,28 @@ def test_machine_classes_tokens_are_stable():
 
 def test_machine_classes_agree_with_pairwise_check():
     rng = random.Random(4001)
-    for _ in range(15):
-        arena = random_arena(rng)
-        classes = machine_classes(arena)
-        machines = dict(arena.vertices)
-        for v in machines:
-            for w in machines:
-                same = classes.token_of(0, v) == classes.token_of(0, w)
-                assert same == is_bisimilar(machines[v], machines[w])
+    cases = [(random_arena(rng), None) for _ in range(15)]
+    # with and without initial states (the totality convention): two
+    # random arenas, and an arena whose vertices carry distinct but
+    # bisimilar Fsm objects next to the arena they were copied from
+    for with_initial in (True, False):
+        for _ in range(10):
+            a1 = random_arena(rng, "a1", with_initial=with_initial)
+            cases.append((a1, random_arena(rng, "a2", with_initial=with_initial)))
+            copies = {
+                v: bloated_copy(rng, renamed_copy(rng, fsm, "t"), f"c{i}")
+                for i, (v, fsm) in enumerate(a1.vertices)
+            }
+            cases.append((a1, validate_arena("a2", copies, a1.edges)))
+    for a1, a2 in cases:
+        classes = machine_classes(a1, a2)
+        tagged = [(0, v, fsm) for v, fsm in a1.vertices]
+        if a2 is not None:
+            tagged += [(1, v, fsm) for v, fsm in a2.vertices]
+        for t, v, m in tagged:
+            for u, w, n in tagged:
+                same = classes.token_of(t, v) == classes.token_of(u, w)
+                assert same == is_bisimilar(m, n)
 
 
 def test_machine_classes_reject_mixed_initial_presence():

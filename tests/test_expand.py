@@ -142,6 +142,40 @@ def test_guard_exceeded_reports_analytic_count():
     assert exc.value.count == 3623878656
 
 
+def test_accessible_guard_reports_states_seen():
+    arena = load_fixture("ecoli.afsm").arenas["ecoli"]
+    with pytest.raises(GuardExceeded) as exc:
+        expand(arena, mode="accessible", max_states=50)
+    assert exc.value.count == 51
+
+
+def test_composite_names_are_injective_on_dotted_state_ids():
+    # "a" + "b.c" and "a.b" + "c" would both join to "a.b.c"
+    def two_cycle(fid, states):
+        x, y = states
+        return validate_fsm(
+            fid, states, [], [], {s: [] for s in states},
+            [(x, [], y), (y, [], x)], initial=x,
+        )
+
+    arena = validate_arena(
+        "dots",
+        {"v": two_cycle("A", ["a", "a.b"]), "w": two_cycle("B", ["c", "b.c"])},
+        [],
+    )
+    comp = expand(arena, mode="full")
+    assert len(comp.states) == len(comp.parts) == 4
+    assert set(comp.parts.values()) == set(
+        itertools.product(["a", "a.b"], ["c", "b.c"])
+    )
+    assert comp.parts[comp.initial] == ("a", "c")
+    for src, _, dst in comp.transitions:
+        a, c = comp.parts[src]
+        assert comp.parts[dst] == (
+            "a.b" if a == "a" else "a", "b.c" if c == "c" else "c"
+        )
+
+
 def test_accessible_mode_requires_initial_states():
     m = validate_fsm("m", ["x"], [], [], {"x": []}, [("x", [], "x")])
     arena = validate_arena("a", {"v": m}, [])

@@ -92,7 +92,8 @@ def test_parse_error_line_numbers():
         ("fsm m\n  inputs {a b}\nend\n", 2),
         ("fsm m\n  inputs {a}\nfsm n\nend\n", 3),
         ("fsm m\n  inputs {}\n  outputs {}\n  state x {}\n", 4),
-        ("arena a\n  node v ghost\nend\n", 1),
+        ("arena a\n  node v ghost\nend\n", 2),
+        ("fsm m\n  state x {}\nend\narena a\n  node v m\n  node w ghost\nend\n", 6),
     ]
     for text, line in cases:
         with pytest.raises(FormatError) as exc:
