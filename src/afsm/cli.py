@@ -14,10 +14,10 @@ import time
 from dataclasses import dataclass, field
 
 from .model import Arena, Fsm, ModelError, validate_arena, validate_fsm
-from .bisim import _blocks, _pairs, _verdict, naive_bisim_oracle, quotient
+from .bisim import BisimError, _blocks, _pairs, _verdict, naive_bisim_oracle, quotient
 from .expand import DEFAULT_MAX_STATES, GuardExceeded, expand, state_count
 from .compositional import (
-    comp_bisimulation,
+    induce_fsm,
     is_comp_bisimilar,
     machine_classes,
     reduce as reduce_arena,
@@ -155,7 +155,9 @@ def cmd_check_comp_bisim(args) -> tuple[int, RunReport]:
     report = RunReport("check-comp-bisim", [args.file1, args.file2])
     t0 = time.perf_counter()
     classes = machine_classes(a1, a2)
-    verdict = is_comp_bisimilar(a1, a2)
+    f1, f2 = induce_fsm(a1, classes, 0), induce_fsm(a2, classes, 1)
+    b1, b2 = _blocks(f1, f2)
+    verdict = _verdict(f1, f2, b1, b2)
     report.verdict = verdict
     report.statistics["classes"] = len(classes.classes)
     report.statistics["elapsed_ms"] = round((time.perf_counter() - t0) * 1000, 3)
@@ -163,7 +165,7 @@ def cmd_check_comp_bisim(args) -> tuple[int, RunReport]:
         for k, block in enumerate(classes.classes):
             members = ", ".join(f"{'AB'[t]}:{v}" for t, v in sorted(block))
             print(f"  class {classes.token(k)}: {members}")
-        for v1, v2 in sorted(comp_bisimulation(a1, a2)):
+        for v1, v2 in sorted(_pairs(b1, b2)):
             print(f"  {v1} ~ {v2}")
     return (0 if verdict else 1), report
 
@@ -367,7 +369,7 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code, report = args.func(args)
-    except (CliError, ModelError) as exc:
+    except (CliError, ModelError, BisimError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(report.render(args.json))

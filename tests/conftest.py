@@ -1,13 +1,22 @@
 """Shared generators for the property campaigns.
 
 All randomness is seeded per-test via ``random.Random`` so failures are
-reproducible.
+reproducible.  The Hypothesis strategies run under the derandomized
+``tier1`` profile for the same reason; failures they find shrink to
+minimal arenas.
 """
 
 import itertools
 import random
 
+from hypothesis import settings, strategies as st
+
 from afsm import validate_arena, validate_fsm
+
+settings.register_profile(
+    "tier1", derandomize=True, database=None, deadline=None, max_examples=150
+)
+settings.load_profile("tier1")
 
 # filled by test_acceptance, printed at the end of the run
 ACCEPTANCE_LINES = []
@@ -112,3 +121,44 @@ def random_document(rng):
         arenas[arena.id] = arena
         arena_nodes[arena.id] = names
     return ModelDocument(fsms=fsms, arenas=arenas, arena_nodes=arena_nodes)
+
+
+# state ids with dots and pluses exercise the composite-name escape; one
+# pool of symbols serves as inputs and outputs, so outputs strip labels
+HYP_STATE_IDS = ["s", "t", "s.1", "1.t", "x+y", "x.y"]
+HYP_SYMBOLS = ["a", "b", "c"]
+
+
+def _subset(symbols, mask):
+    return [x for k, x in enumerate(symbols) if mask >> k & 1]
+
+
+@st.composite
+def hyp_fsms(draw, fid, with_initial):
+    # symbol sets are drawn as bitmasks, which keeps generation cheap
+    states = draw(st.lists(st.sampled_from(HYP_STATE_IDS), min_size=1, max_size=3, unique=True))
+    sets = st.sampled_from(range(8))
+    inputs = _subset(HYP_SYMBOLS, draw(sets))
+    outputs = _subset(HYP_SYMBOLS, draw(sets))
+    output_map = {s: _subset(outputs, draw(sets)) for s in states}
+    # a state without outgoing transitions deadlocks the composite
+    transitions = [
+        (src, _subset(inputs, label), dst)
+        for src, label, dst in draw(st.lists(
+            st.tuples(st.sampled_from(states), sets, st.sampled_from(states)), max_size=5
+        ))
+    ]
+    initial = draw(st.sampled_from(states)) if with_initial else None
+    return validate_fsm(fid, states, inputs, outputs, output_map, transitions, initial=initial)
+
+
+@st.composite
+def hyp_arenas(draw):
+    """Arena of 1-4 vertices, with or without initial states; vertices may share machines."""
+    with_initial = draw(st.booleans())
+    pool = [draw(hyp_fsms(f"m{i}", with_initial)) for i in range(draw(st.integers(1, 2)))]
+    n = draw(st.sampled_from(range(1, 5)))
+    vertices = {f"v{i}": pool[draw(st.integers(0, len(pool) - 1))] for i in range(n)}
+    pairs = list(itertools.permutations(sorted(vertices), 2))
+    edges = [pair for pair in pairs if draw(st.booleans())]
+    return validate_arena("h", vertices, edges)

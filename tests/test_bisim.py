@@ -8,6 +8,7 @@ import pytest
 from afsm import (
     InitialStateMismatch,
     bisim,
+    comp_bisimulation,
     fixture_path,
     is_bisimilar,
     is_isomorphic,
@@ -20,6 +21,7 @@ from afsm import (
     validate_fsm,
 )
 from afsm.bisim import TooLarge, TooLargeForGeneralIso
+from afsm import cli, compositional
 from afsm.cli import run
 from conftest import bloated_copy, random_fsm, renamed_copy
 
@@ -273,6 +275,45 @@ def test_each_question_is_one_refinement(monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         assert run(["check-bisim", str(fixture_path("euclid.afsm")), "M1", "M1"]) == 0
     assert len(calls) == 1
+
+
+def test_check_comp_bisim_computes_the_classes_once(monkeypatch):
+    # one machine_classes refinement and one refinement of the two induced
+    # machines per job; the verdict and the witness come from the latter
+    path = str(fixture_path("counterexample.afsm"))
+    doc = load_fixture("counterexample.afsm")
+    expected = {
+        name: sorted(comp_bisimulation(doc.arenas["A1"], doc.arenas[name]))
+        for name in ("A1", "A2")
+    }
+    classes_calls, refine_calls = [], []
+    classes_of = compositional.machine_classes
+    refine = bisim._refine
+
+    def counted_classes(*a):
+        classes_calls.append(1)
+        return classes_of(*a)
+
+    monkeypatch.setattr(compositional, "machine_classes", counted_classes)
+    monkeypatch.setattr(cli, "machine_classes", counted_classes)
+    monkeypatch.setattr(bisim, "_refine", lambda *a: refine_calls.append(1) or refine(*a))
+
+    for name, code, n_classes in [("A2", 1, 4), ("A1", 0, 3)]:
+        for witness in ([], ["--witness"]):
+            classes_calls.clear()
+            refine_calls.clear()
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert run(["check-comp-bisim", path, "A1", path, name, *witness]) == code
+            assert len(classes_calls) == 1
+            assert len(refine_calls) == 2
+            assert f"classes: {n_classes}" in out.getvalue()
+            pairs = [
+                tuple(line.split(" ~ "))
+                for line in out.getvalue().splitlines()
+                if " ~ " in line
+            ]
+            assert [(a.strip(), b) for a, b in pairs] == (expected[name] if witness else [])
 
 
 def test_bisimilar_quotients_are_isomorphic():

@@ -57,6 +57,46 @@ def test_unreadable_file_is_a_usage_error():
     assert "error:" in err
 
 
+MIXED_INITIAL = """\
+fsm P
+  inputs {}
+  outputs {}
+  state p {}
+  initial p
+  trans p {} p
+end
+
+fsm Q
+  inputs {}
+  outputs {}
+  state q {}
+  trans q {} q
+end
+
+arena A
+  node u P
+end
+
+arena B
+  node w Q
+end
+"""
+
+
+def test_mixed_initial_states_are_a_usage_error(tmp_path):
+    # one machine declares an initial state and the other does not, so
+    # neither acceptance condition applies
+    path = tmp_path / "mixed.afsm"
+    path.write_text(MIXED_INITIAL, encoding="utf-8")
+    code, out, err = invoke("check-bisim", str(path), "P", "Q")
+    assert code == 2
+    assert err.startswith("error:") and "initial state" in err
+    assert out == ""
+    code, _, err = invoke("check-comp-bisim", str(path), "A", str(path), "B")
+    assert code == 2
+    assert err.startswith("error:") and "initial state" in err
+
+
 def test_expand_accessible_writes_machine(tmp_path):
     out_path = tmp_path / "flat.afsm"
     code, out, _ = invoke(

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
 
 from afsm import (
     composite_successors,
@@ -17,8 +18,10 @@ from afsm.expand import (
     GuardExceeded,
     NoInitialState,
     UnknownComponentState,
+    composite_name,
 )
-from conftest import random_arena
+from afsm.model import _label_key
+from conftest import hyp_arenas, random_arena
 
 
 def euclid_arena():
@@ -206,3 +209,59 @@ def test_accessible_equals_reachable_part_of_full():
         # both carry the initial composite and are bisimilar from it
         assert acc.initial == full.initial
         assert is_bisimilar(acc.fsm, full.fsm)
+
+
+def reference_states(arena, mode):
+    """State tuples of an expansion, from the machines and composite_successors."""
+    machines = [fsm for _, fsm in arena.vertices]
+    if mode == "full":
+        return set(itertools.product(*(m.states for m in machines)))
+    seen = {tuple(m.initial for m in machines)}
+    frontier = list(seen)
+    while frontier:
+        for _, dst in composite_successors(arena, frontier.pop()):
+            if dst not in seen:
+                seen.add(dst)
+                frontier.append(dst)
+    return seen
+
+
+@given(hyp_arenas())
+def test_expansion_matches_the_reference_semantics(arena):
+    machines = [fsm for _, fsm in arena.vertices]
+    initial = tuple(m.initial for m in machines)
+    for mode in ("full", "accessible"):
+        if None in initial and mode == "accessible":
+            with pytest.raises(NoInitialState):
+                expand(arena, mode=mode)
+            continue
+        comp = expand(arena, mode=mode)
+        states = reference_states(arena, mode)
+
+        # parts inverts the names, and the names are the composite names
+        name = {p: s for s, p in comp.parts.items()}
+        assert set(comp.parts) == set(comp.states)
+        assert set(name) == states and len(name) == len(comp.states)
+        assert all(s == composite_name(p) for s, p in comp.parts.items())
+        assert comp.initial == (None if None in initial else name[initial])
+        assert comp.vertex_order == arena.vertex_ids
+
+        expected = {
+            (name[p], label, name[q])
+            for p in states
+            for label, q in composite_successors(arena, p)
+        }
+        assert set(comp.transitions) == expected
+        assert len(comp.transitions) == len(expected)
+        assert comp.output_map == {
+            name[p]: frozenset().union(*(m.output_map[s] for m, s in zip(machines, p)))
+            for p in states
+        }
+
+        # canonical order
+        assert list(comp.states) == sorted(comp.states)
+        assert list(comp.transitions) == sorted(
+            comp.transitions, key=lambda t: (t[0], _label_key(t[1]), t[2])
+        )
+        assert comp.fsm.inputs == frozenset().union(*(m.inputs for m in machines))
+        assert comp.fsm.outputs == frozenset().union(*(m.outputs for m in machines))
