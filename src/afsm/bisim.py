@@ -1,14 +1,16 @@
 """Bisimulation equivalence: maximal relation, decision, quotient, isomorphism.
 
 Every question is answered by one partition refinement of the disjoint
-union of the machines involved (Kanellakis & Smolka 1990): states start
-grouped by output set and blocks are split by their outgoing
-(label, target-block) signatures until the partition is stable.  Two
-states are bisimilar iff they share a block, so R*, the bisimilarity
-verdict, the self-partition and the isomorphism candidate are all read off
-the block ids that :func:`_blocks` returns.  A brute-force
-greatest-fixpoint oracle over the dense pair table is provided for
-cross-checking.
+union of the machines involved.  States start grouped by output set;
+signature passes split blocks by their outgoing (label, target-block)
+sets while each pass at least doubles the number of blocks, and the
+splitter-based algorithm of Paige & Tarjan (SIAM J. Comput. 1987) takes
+over from there, so the whole refinement costs O(m log n) for n states
+and m transitions.  Two states are bisimilar iff they share a block, so
+R*, the bisimilarity verdict, the self-partition and the isomorphism
+candidate are all read off the block ids that :func:`_blocks` returns.  A
+brute-force greatest-fixpoint oracle over the dense pair table is provided
+for cross-checking.
 """
 
 from __future__ import annotations
@@ -39,30 +41,159 @@ def _refine(n_states, outputs, succ):
 
     ``outputs[s]`` is the output set of state ``s``; ``succ[s]`` is a list
     of (label_id, target) pairs.  Returns a list mapping state -> block id.
-    Each pass recomputes every state's signature (the set of label/block
-    pairs it can move to), so a pass costs O(transitions) and the loop
-    stops as soon as no block splits.
-    """
-    block_of = {}
-    block = [0] * n_states
-    for s in range(n_states):
-        block[s] = block_of.setdefault(outputs[s], len(block_of))
-    n_blocks = len(block_of)
 
+    States start grouped by output set.  A signature pass splits every
+    block by the set of (label, block) pairs its states can move to, at a
+    cost of O(m) for m transitions, and the partition is stable once a pass
+    splits nothing.  Passes repeat while each one at least doubles the
+    number of blocks, so there are at most log2(n) of them; most small
+    machines, and wide ones such as expanded arenas, are stable after two.
+    A pass that splits less hands over to :func:`_split_until_stable`,
+    which finishes in O(m log n) time on inputs, such as long chains, that
+    would need one pass per state.
+    """
+    by_output = {}
+    block = [by_output.setdefault(out, len(by_output)) for out in outputs]
+    n_blocks = len(by_output)
     while True:
-        new_of = {}
-        new_block = [0] * n_states
-        for s in range(n_states):
-            sig = (block[s], frozenset((lab, block[d]) for lab, d in succ[s]))
-            b = new_of.get(sig)
-            if b is None:
-                b = len(new_of)
-                new_of[sig] = b
-            new_block[s] = b
-        if len(new_of) == n_blocks:
+        by_sig = {}
+        finer = [
+            by_sig.setdefault(
+                (block[s], frozenset((lab, block[d]) for lab, d in succ[s])), len(by_sig)
+            )
+            for s in range(n_states)
+        ]
+        if len(by_sig) == n_blocks:
             return block
-        block = new_block
-        n_blocks = len(new_of)
+        if len(by_sig) < 2 * n_blocks:
+            return _split_until_stable(succ, block, finer)
+        block, n_blocks = finer, len(by_sig)
+
+
+def _split_until_stable(succ, coarse, block):
+    """Paige-Tarjan refinement of ``block`` to the coarsest stable partition.
+
+    Paige & Tarjan, "Three partition refinement algorithms" (SIAM J.
+    Comput. 1987), for labelled moves.  Besides the partition into blocks
+    it keeps a coarser partition into *compounds*, starting from
+    ``coarse``, the partition one signature pass before ``block``.  The
+    blocks are stable with respect to every compound: for each label, a
+    block's states all have a move into the compound or none does.  While
+    some compound holds two or more blocks, the smaller of two of them, B,
+    becomes a compound of its own and every block is split twice per label
+    a: by "has an a-move into B" and by "has an a-move into B but none into
+    the rest of the old compound".  The second split is what makes this
+    correct for nondeterministic machines; it reads a count of a-moves per
+    (state, label, compound), so it costs no more than the first.  Both
+    only touch the moves into B, and a state is in the chosen B at most
+    log2(n) times, since each time the compound holding it at least
+    halves: O(m log n) in all.
+
+    ``block`` is updated in place and returned.
+    """
+    n = len(block)
+    # moves into each state, as label * n + source; ``count`` maps
+    # compound * stride + label * n + source to the number of such moves
+    # into the compound, and drops keys that reach zero
+    pred = [[] for _ in range(n)]
+    n_labels = 0
+    for x in range(n):
+        for lab, d in succ[x]:
+            pred[d].append(lab * n + x)
+            if lab >= n_labels:
+                n_labels = lab + 1
+    stride = n_labels * n
+    count = {}
+    for d in range(n):
+        base = coarse[d] * stride
+        for code in pred[d]:
+            key = base + code
+            count[key] = count.get(key, 0) + 1
+
+    # blocks are slices [first[b], end[b]) of ``elems``; the states at
+    # [first[b], mid[b]) are marked for splitting off
+    elems = sorted(range(n), key=block.__getitem__)
+    loc = [0] * n
+    n_blocks = max(block) + 1
+    end = [0] * n_blocks
+    for i, s in enumerate(elems):
+        loc[s] = i
+        end[block[s]] = i + 1
+    first = [0] + end[:-1]
+    mid = first[:]
+    compound = [coarse[elems[first[b]]] for b in range(n_blocks)]
+    members = [[] for _ in range(max(coarse) + 1)]
+    for b in range(n_blocks):
+        members[compound[b]].append(b)
+    work = [c for c, bs in enumerate(members) if len(bs) > 1]
+
+    def split_off(states):
+        # split every block into its members in ``states`` and the rest
+        touched = []
+        for s in states:
+            b = block[s]
+            i = loc[s]
+            j = mid[b]
+            if i >= j:
+                if j == first[b]:
+                    touched.append(b)
+                t = elems[j]
+                elems[j] = s
+                elems[i] = t
+                loc[s] = j
+                loc[t] = i
+                mid[b] = j + 1
+        for b in touched:
+            j = mid[b]
+            f = first[b]
+            if j == end[b]:
+                mid[b] = f
+                continue
+            nb = len(first)
+            first.append(f)
+            end.append(j)
+            mid.append(f)
+            first[b] = j
+            for s in elems[f:j]:
+                block[s] = nb
+            c = compound[b]
+            compound.append(c)
+            blocks = members[c]
+            blocks.append(nb)
+            if len(blocks) == 2:
+                work.append(c)
+
+    while work:
+        c = work.pop()
+        blocks = members[c]
+        b = blocks.pop()
+        if end[b] - first[b] > end[blocks[-1]] - first[blocks[-1]]:
+            b, blocks[-1] = blocks[-1], b
+        if len(blocks) > 1:
+            work.append(c)
+        new = len(members)
+        members.append([b])
+        compound[b] = new
+
+        by_label = {}
+        for y in elems[first[b]:end[b]]:
+            for code in pred[y]:
+                by_label.setdefault(code // n, []).append(code)
+        old_base = c * stride
+        new_base = new * stride
+        for codes in by_label.values():
+            for code in codes:
+                key = old_base + code
+                left = count[key] - 1
+                if left:
+                    count[key] = left
+                else:
+                    del count[key]
+                key = new_base + code
+                count[key] = count.get(key, 0) + 1
+            split_off([code % n for code in codes])
+            split_off([code % n for code in codes if old_base + code not in count])
+    return block
 
 
 def _blocks(*machines) -> list:

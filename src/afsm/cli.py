@@ -106,6 +106,7 @@ def cmd_check_bisim(args) -> tuple[int, RunReport]:
         report.statistics["oracle"] = "agree"
     report.verdict = verdict
     report.statistics["pairs"] = len(rel)
+    report.statistics["blocks"] = len(set(b1.values()) | set(b2.values()))
     report.statistics["elapsed_ms"] = round((time.perf_counter() - t0) * 1000, 3)
     if args.witness:
         for a, b in sorted(rel):
@@ -141,6 +142,8 @@ def cmd_minimize(args) -> tuple[int, RunReport]:
     report.statistics["states_in"] = len(m.states)
     report.statistics["states_out"] = len(q.states)
     report.statistics["transitions_out"] = len(q.transitions)
+    # a quotient has one state per block of its partition
+    report.statistics["blocks"] = len(q.states)
     report.statistics["elapsed_ms"] = round((time.perf_counter() - t0) * 1000, 3)
     if args.output:
         _write_fsm(args.output, q, report)

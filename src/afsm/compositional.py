@@ -146,8 +146,13 @@ def arena_quotient(arena: Arena) -> Arena:
     verbatim.  An arena edge inside a single block would force a self-loop
     in the quotient, which the model forbids, so it is a hard error.
     """
+    return _arena_quotient(arena, machine_classes(arena))
+
+
+def _arena_quotient(arena: Arena, classes: MachineClasses) -> Arena:
+    """:func:`arena_quotient`, given the machine classes of ``arena``."""
     rep = {}
-    for block in arena_vertex_partition(arena):
+    for block in self_partition(induce_fsm(arena, classes, 0)):
         least = min(block)
         for v in block:
             rep[v] = least
@@ -171,7 +176,7 @@ def reduce(arena: Arena, max_states: int = DEFAULT_MAX_STATES):
     every intermediate step.
     """
     classes = machine_classes(arena)
-    a_min = arena_quotient(arena)
+    a_min = _arena_quotient(arena, classes)
     composite = expand(a_min, mode="full", max_states=max_states)
     minimal = quotient(composite.fsm)
     report = {

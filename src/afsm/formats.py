@@ -100,6 +100,13 @@ def parse(text: str, source: str | None = None) -> ModelDocument:
     """Parse a document; raises ``FormatError`` with a line number on failure."""
     doc = ModelDocument(source=source)
     block = None  # None | ("fsm", name, acc) | ("arena", name, acc)
+    sets = {}  # set text -> its symbols, so each distinct text is checked once
+
+    def symbols(tok: str, line_no: int) -> tuple:
+        parsed = sets.get(tok)
+        if parsed is None:
+            parsed = sets[tok] = tuple(_parse_set(tok, line_no))
+        return parsed
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -161,14 +168,14 @@ def parse(text: str, source: str | None = None) -> ModelDocument:
                     raise FormatError(f"'{kw}' takes one symbol set", line_no)
                 if acc[kw] is not None:
                     raise FormatError(f"duplicate '{kw}' directive", line_no)
-                acc[kw] = _parse_set(toks[1], line_no)
+                acc[kw] = symbols(toks[1], line_no)
             elif kw == "state":
                 if len(toks) != 3:
                     raise FormatError("'state' takes an id and an output set", line_no)
                 sid = _require_token(toks[1], "state id", line_no)
                 if sid in acc["states"]:
                     raise DuplicateName(f"duplicate state {sid!r}", line_no)
-                acc["states"][sid] = _parse_set(toks[2], line_no)
+                acc["states"][sid] = symbols(toks[2], line_no)
             elif kw == "initial":
                 if len(toks) != 2:
                     raise FormatError("'initial' takes one state id", line_no)
@@ -188,7 +195,7 @@ def parse(text: str, source: str | None = None) -> ModelDocument:
                     raise MissingStateAtLine(
                         f"transition target {dst!r} is not a declared state", line_no
                     )
-                acc["trans"].append((src, _parse_set(toks[2], line_no), dst))
+                acc["trans"].append((src, symbols(toks[2], line_no), dst))
             else:
                 raise FormatError(f"unknown directive {kw!r} in fsm block", line_no)
         else:

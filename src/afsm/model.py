@@ -150,6 +150,18 @@ def validate_fsm(
 
     inp = symbol_set(inputs)
     out = symbol_set(outputs)
+    checked = {}
+
+    def checked_set(names) -> SymbolSet:
+        # each distinct set is validated and interned once per call
+        key = names if isinstance(names, (frozenset, tuple)) else tuple(names)
+        try:
+            value = checked.get(key)
+        except TypeError:  # an unhashable member, which symbol() rejects
+            return symbol_set(key)
+        if value is None:
+            value = checked[key] = symbol_set(key)
+        return value
 
     if initial is not None:
         initial = _token("state id", initial)
@@ -160,7 +172,7 @@ def validate_fsm(
     for s in state_list:
         if s not in output_map:
             raise MissingState(f"fsm {fsm_id}: no output set declared for state {s!r}")
-        value = symbol_set(output_map[s])
+        value = checked_set(output_map[s])
         extra = value - out
         if extra:
             raise AlphabetViolation(
@@ -179,7 +191,7 @@ def validate_fsm(
             raise MissingState(f"fsm {fsm_id}: transition source {src!r} is not declared")
         if dst not in state_set:
             raise MissingState(f"fsm {fsm_id}: transition target {dst!r} is not declared")
-        label = symbol_set(label)
+        label = checked_set(label)
         extra = label - inp
         if extra:
             raise AlphabetViolation(

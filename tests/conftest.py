@@ -162,3 +162,42 @@ def hyp_arenas(draw):
     pairs = list(itertools.permutations(sorted(vertices), 2))
     edges = [pair for pair in pairs if draw(st.booleans())]
     return validate_arena("h", vertices, edges)
+
+
+# label sets of the raw machines below; few symbols and one output give
+# deep bisimulation structure
+HYP_LABELS = [(), ("a",), ("a", "b")]
+
+
+@st.composite
+def hyp_machines(draw, fid):
+    """Machine of 1-14 states and 1-3 labels, without an initial state.
+
+    It mixes the shapes that stress refinement: a chain whose last state
+    alone outputs ``end``, clones that copy a chain state's move and may
+    take over the move into it, same-label fan-out from one state to
+    several targets, and states without moves (deadlocks).
+    """
+    n = draw(st.integers(1, 14))
+    states = [f"s{i}" for i in range(n)]
+    labels = draw(st.lists(st.sampled_from(HYP_LABELS), min_size=1, max_size=3, unique=True))
+    length = draw(st.integers(1, n))
+    output_map = {s: [] for s in states}
+    output_map[states[length - 1]] = ["end"]
+    transitions = {(states[i], labels[0], states[i + 1]) for i in range(length - 1)}
+    for clone in states[length:]:
+        if draw(st.booleans()):
+            i = draw(st.integers(0, length - 1))
+            output_map[clone] = output_map[states[i]]
+            if i < length - 1:
+                transitions.add((clone, labels[0], states[i + 1]))
+            if i > 0 and draw(st.booleans()):
+                transitions.discard((states[i - 1], labels[0], states[i]))
+                transitions.add((states[i - 1], labels[0], clone))
+    for src, label, targets in draw(st.lists(st.tuples(
+        st.sampled_from(states),
+        st.sampled_from(labels),
+        st.lists(st.sampled_from(states), min_size=1, max_size=4, unique=True),
+    ), max_size=6)):
+        transitions.update((src, label, dst) for dst in targets)
+    return validate_fsm(fid, states, ["a", "b"], ["end"], output_map, transitions)

@@ -2,8 +2,10 @@ import contextlib
 import io
 import itertools
 import random
+import time
 
 import pytest
+from hypothesis import given
 
 from afsm import (
     InitialStateMismatch,
@@ -23,7 +25,7 @@ from afsm import (
 from afsm.bisim import TooLarge, TooLargeForGeneralIso
 from afsm import cli, compositional
 from afsm.cli import run
-from conftest import bloated_copy, random_fsm, renamed_copy
+from conftest import bloated_copy, hyp_machines, random_fsm, renamed_copy
 
 
 def double_chain():
@@ -81,6 +83,60 @@ def test_oracle_agrees_with_refinement():
         m1 = random_fsm(rng, "x", with_initial=False)
         m2 = random_fsm(rng, "y", with_initial=False)
         assert max_bisimulation(m1, m2) == naive_bisim_oracle(m1, m2)
+
+
+@given(hyp_machines("x"), hyp_machines("y"))
+def test_refinement_matches_the_oracle_on_shrinkable_machines(m1, m2):
+    assert max_bisimulation(m1, m1) == naive_bisim_oracle(m1, m1)
+    assert max_bisimulation(m1, m2) == naive_bisim_oracle(m1, m2)
+
+
+def test_refinement_splits_by_both_halves_of_a_split_block():
+    # {y1, y2, y3} splits into {y1} and {y2, y3} only once z1 and z2 are
+    # told apart.  p moves into both halves, q only into the smaller half
+    # {y1} and r only into the larger one.  Splitting by the smaller half
+    # alone separates r, but leaves p and q together: that they differ
+    # shows only as p's move into the half that is not used to split.
+    m = validate_fsm(
+        "m",
+        ["e", "p", "q", "r", "y1", "y2", "y3", "z1", "z2"],
+        ["a"],
+        ["end", "src", "y"],
+        {"e": ["end"], "p": ["src"], "q": ["src"], "r": ["src"],
+         "y1": ["y"], "y2": ["y"], "y3": ["y"], "z1": [], "z2": []},
+        [("z1", ["a"], "e"), ("y1", ["a"], "z1"), ("y2", ["a"], "z2"),
+         ("y3", ["a"], "z2"), ("p", ["a"], "y1"), ("p", ["a"], "y2"),
+         ("q", ["a"], "y1"), ("r", ["a"], "y2")],
+    )
+    assert set(self_partition(m)) == {
+        frozenset({s}) for s in ("e", "p", "q", "r", "y1", "z1", "z2")
+    } | {frozenset({"y2", "y3"})}
+    assert max_bisimulation(m, m) == naive_bisim_oracle(m, m)
+
+
+def _chain(n, hub):
+    # c0 -> c1 -> ... -> c{n-1}, where only the last state outputs end, so
+    # each state is told apart only by its distance to the end; the hub has
+    # a move on the same label to every chain state
+    states = [f"c{i}" for i in range(n)] + ["hub"] * hub
+    output_map = {s: [] for s in states}
+    output_map[f"c{n - 1}"] = ["end"]
+    transitions = [(f"c{i}", ["a"], f"c{i + 1}") for i in range(n - 1)]
+    transitions += [("hub", ["a"], f"c{i}") for i in range(n)] * hub
+    return validate_fsm("chain", states, ["a"], ["end"], output_map, transitions)
+
+
+@pytest.mark.parametrize("hub", [False, True])
+def test_refinement_of_long_chains_is_not_quadratic(hub):
+    # a refinement that recomputes signatures per round needs n rounds
+    # here, about 30 s at n = 4,000; O(m log n) takes milliseconds
+    n = 4000
+    m = _chain(n, hub)
+    t0 = time.perf_counter()
+    blocks = self_partition(m)
+    elapsed = time.perf_counter() - t0
+    assert len(blocks) == n + hub
+    assert elapsed < 1.0
 
 
 def test_oracle_guard():

@@ -38,6 +38,20 @@ def test_check_bisim_json_and_oracle():
     assert report["statistics"]["oracle"] == "agree"
 
 
+def test_check_bisim_json_reports_blocks():
+    # M1 against itself: one block per state of the self-minimal M1
+    code, out, _ = invoke("check-bisim", EUCLID, "M1", "M1", "--json")
+    assert code == 0
+    stats = json.loads(out)["statistics"]
+    assert stats["blocks"] == stats["pairs"] == 2
+    # M1 and M2 differ in their symbols, so no block is shared
+    code, out, _ = invoke("check-bisim", EUCLID, "M1", "M2", "--json")
+    assert code == 1
+    stats = json.loads(out)["statistics"]
+    assert stats["pairs"] == 0
+    assert stats["blocks"] == 4
+
+
 def test_check_bisim_witness_lists_pairs():
     code, out, _ = invoke("check-bisim", EUCLID, "M1", "M1", "--witness")
     assert code == 0
@@ -130,6 +144,22 @@ def test_minimize(tmp_path):
     assert "states_in: 3" in out
     doc = parse(out_path.read_text(encoding="utf-8"))
     assert "M3" in doc.fsms
+
+
+def test_minimize_json_reports_blocks(tmp_path):
+    # the double chain has two states per block
+    text = (
+        "fsm dc\n  inputs {u}\n  outputs {go}\n"
+        "  state a1 {}\n  state a2 {go}\n  state b1 {}\n  state b2 {go}\n"
+        "  trans a1 {u} a2\n  trans b1 {u} b2\nend\n"
+    )
+    path = tmp_path / "dc.afsm"
+    path.write_text(text, encoding="utf-8")
+    code, out, _ = invoke("minimize", str(path), "dc", "--json")
+    assert code == 0
+    stats = json.loads(out)["statistics"]
+    assert stats["states_in"] == 4
+    assert stats["blocks"] == stats["states_out"] == 2
 
 
 def test_check_comp_bisim_verdicts():

@@ -22,6 +22,7 @@ from afsm import (
     validate_fsm,
     verify_theorem_4_2,
 )
+from afsm import compositional
 from afsm.compositional import ClassCoverageGap
 from conftest import bloated_copy, random_arena, random_fsm, renamed_copy
 
@@ -215,6 +216,21 @@ def test_reduce_report_keys():
         "final_states",
         "final_transitions",
     }
+
+
+def test_reduce_computes_the_classes_once(monkeypatch):
+    arena = load_fixture("euclid.afsm").arenas["euclid"]
+    n_classes = len(machine_classes(arena).classes)
+    n_vertices = len(arena_quotient(arena).vertices)
+    calls = []
+    classes_of = compositional.machine_classes
+    monkeypatch.setattr(
+        compositional, "machine_classes", lambda *a: calls.append(1) or classes_of(*a)
+    )
+    _, report = reduce(arena)
+    assert len(calls) == 1
+    assert report["classes"] == n_classes
+    assert report["quotient_vertices"] == n_vertices
 
 
 def test_expansion_preservation_has_a_genuine_counterexample():

@@ -101,6 +101,28 @@ def test_parse_error_line_numbers():
         assert exc.value.line == line, text
 
 
+def test_invalid_symbol_in_a_repeated_set_is_reported_at_its_first_line():
+    # set texts are checked once per parse; the first use still reports
+    text = (
+        "fsm m\n  inputs {a,b}\n  outputs {}\n  state x {}\n"
+        "  trans x {a} x\n  trans x {a,b$} x\n  trans x {a,b$} x\nend\n"
+    )
+    with pytest.raises(FormatError) as exc:
+        parse(text)
+    assert exc.value.line == 6
+    assert "'b$'" in str(exc.value)
+
+
+def test_equal_symbol_sets_are_one_object():
+    m = parse(
+        "fsm m\n  inputs {a,b}\n  outputs {y}\n  state x {y}\n  state z {y}\n"
+        "  trans x {a,b} z\n  trans z {a,b} x\nend\n"
+    ).fsms["m"]
+    (_, l1, _), (_, l2, _) = m.transitions
+    assert l1 == {"a", "b"} and l1 is l2
+    assert m.output_map["x"] is m.output_map["z"]
+
+
 def test_duplicate_names_rejected():
     with pytest.raises(DuplicateName):
         parse("fsm m\n  inputs {}\n  outputs {}\n  state x {}\nend\n"
