@@ -6,6 +6,11 @@ then summarised by a small induced machine (one state per vertex, outputs =
 class tokens, edges relabelled with the empty input set).  Compositional
 bisimilarity of two arenas is bisimilarity of their induced machines under
 the totality convention, which never touches the product state space.
+
+:func:`reduce` expands only the quotient arena, and of its product only
+the part its minimal machine is built from: the states reachable from the
+initial state when every machine declares one.  The full product's size
+is still reported, counted on integer codes without building its states.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from .bisim import (
     quotient,
     self_partition,
 )
-from .expand import DEFAULT_MAX_STATES, expand
+from .expand import DEFAULT_MAX_STATES, _check_guard, _Expander, expand
 
 
 class CompositionalError(ModelError):
@@ -173,17 +178,25 @@ def reduce(arena: Arena, max_states: int = DEFAULT_MAX_STATES):
     """Five-step reduction: classes, arena quotient, expansion, quotient.
 
     Returns (minimal machine, report) where the report records the size of
-    every intermediate step.
+    every intermediate step.  The expansion's size is that of the full
+    product of the quotient arena, which ``max_states`` guards: its states
+    are counted analytically, its transitions by a count-only pass over
+    the state codes that reuses the successors already found.  Only the
+    states the minimal machine is built from are named: with initial
+    states, those reachable from the initial state, which are all that
+    :func:`quotient` keeps; without them, the whole product.
     """
     classes = machine_classes(arena)
     a_min = _arena_quotient(arena, classes)
-    composite = expand(a_min, mode="full", max_states=max_states)
-    minimal = quotient(composite.fsm)
+    total = _check_guard(a_min, max_states)
+    ex = _Expander(a_min)
+    codes, digits, succ = ex.explore("full" if ex.initial is None else "accessible", max_states)
+    minimal = quotient(ex.assemble(codes, digits, succ).fsm)
     report = {
         "classes": len(classes.classes),
         "quotient_vertices": len(a_min.vertices),
-        "expanded_states": len(composite.states),
-        "expanded_transitions": len(composite.transitions),
+        "expanded_states": total,
+        "expanded_transitions": ex.count_transitions(codes, succ),
         "final_states": len(minimal.states),
         "final_transitions": len(minimal.transitions),
     }

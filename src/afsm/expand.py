@@ -19,9 +19,13 @@ against.  :func:`expand` computes the same machine on integers:
   (label mask, code) pairs, each packed into one int, so coinciding
   combinations collapse as they arise.
 
-State names, ``parts`` tuples and label and output frozensets are built
-once, at the end, and the machine is assembled in canonical order from
-integer ranks.
+Exploration (:meth:`_Expander.explore`) finds the codes of the states and
+their successors; assembly (:meth:`_Expander.assemble`) then builds state
+names, ``parts`` tuples and label and output frozensets once each and puts
+the machine in canonical order by integer ranks.  A caller that needs only
+the size of the full product, such as ``compositional.reduce``, counts its
+transitions on codes (:meth:`_Expander.count_transitions`) and assembles
+just the states it explored.
 """
 
 from __future__ import annotations
@@ -156,6 +160,18 @@ def _union(masks) -> int:
     return reduce(or_, masks, 0)
 
 
+def _fold(pair: int, forks):
+    """The successors of one pair and the move tables ``forks``.
+
+    The tables are folded in one at a time, so combinations that coincide
+    collapse as they arise.
+    """
+    acc = (pair,)
+    for moves in forks:
+        acc = {(p | u) + t for p in acc for u, t in moves}
+    return acc
+
+
 class _Expander:
     """Integer tables of one arena, for successor enumeration on codes.
 
@@ -169,11 +185,16 @@ class _Expander:
     """
 
     def __init__(self, arena: Arena):
+        self.arena = arena
         self.order = arena.vertex_ids
         self.machines = machines = [fsm for _, fsm in arena.vertices]
         self.weights = [
             math.prod(len(m.states) for m in machines[i + 1:]) for i in range(len(machines))
         ]
+        # code of the composite initial state, if every machine declares one
+        self.initial = None
+        if all(m.initial is not None for m in machines):
+            self.initial = sum(m.states.index(m.initial) * w for m, w in zip(machines, self.weights))
         self.shift = shift = (state_count(arena) - 1).bit_length()
         self.symbols = sorted(frozenset().union(*(m.inputs | m.outputs for m in machines)))
         bit = {x: 1 << (k + shift) for k, x in enumerate(self.symbols)}
@@ -195,12 +216,12 @@ class _Expander:
         # per vertex and state: strip mask -> stripped, deduplicated moves
         self._stripped = [[{} for _ in m.states] for m in machines]
 
-    def successors(self, digits):
-        """Distinct successors (label mask << shift | code) of the state with ``digits``.
+    def _moves(self, digits):
+        """The moves of the state with ``digits`` for :func:`_fold`, or None if it deadlocks.
 
         Vertices with one move add the same label bits and digit to every
-        successor; the others are folded in one at a time, so combinations
-        that coincide collapse as they arise.
+        successor, so they are summed into one pair; the move tables of the
+        other vertices are returned as they are.
         """
         outputs = list(map(list.__getitem__, self.outputs, digits))
         pair = 0
@@ -223,11 +244,13 @@ class _Expander:
             elif moves:
                 forks.append(moves)
             else:
-                return ()  # composite deadlock: some machine cannot fire
-        acc = (pair,)
-        for moves in forks:
-            acc = {(p | u) + t for p in acc for u, t in moves}
-        return acc
+                return None  # composite deadlock: some machine cannot fire
+        return pair, forks
+
+    def successors(self, digits):
+        """Distinct successors (label mask << shift | code) of the state with ``digits``."""
+        found = self._moves(digits)
+        return () if found is None else _fold(*found)
 
     def decode(self, code: int) -> tuple:
         digits = []
@@ -241,6 +264,140 @@ class _Expander:
         mask >>= self.shift
         return frozenset(x for k, x in enumerate(self.symbols) if mask >> k & 1)
 
+    def all_digits(self):
+        """The digits of every composite state, in ascending code order."""
+        return product(*(range(len(m.states)) for m in self.machines))
+
+    def explore(self, mode: str, max_states: int):
+        """Ascending codes of the expansion's states, with the digits and the successors of each.
+
+        ``mode="full"`` takes every code; ``mode="accessible"`` walks from
+        the initial state.  Both are guarded by ``max_states``.
+        """
+        arena = self.arena
+        if mode == "full":
+            codes = range(_check_guard(arena, max_states))
+            digits = list(self.all_digits())
+            return codes, digits, list(map(self.successors, digits))
+        if self.initial is None:
+            raise NoInitialState(
+                f"arena {arena.id}: accessible expansion needs initial states on every machine"
+            )
+        low = (1 << self.shift) - 1
+        digits_of = {self.initial: self.decode(self.initial)}
+        succ_of = {}
+        frontier = [self.initial]
+        while frontier:
+            code = frontier.pop()
+            succ_of[code] = found = self.successors(digits_of[code])
+            for p in found:
+                dst = p & low
+                if dst not in digits_of:
+                    if len(digits_of) >= max_states:
+                        raise GuardExceeded(
+                            f"accessible expansion of {arena.id} exceeded the guard {max_states}",
+                            count=len(digits_of) + 1,
+                        )
+                    digits_of[dst] = self.decode(dst)
+                    frontier.append(dst)
+        codes = sorted(digits_of)
+        return codes, [digits_of[c] for c in codes], [succ_of[c] for c in codes]
+
+    def count_transitions(self, codes, succ) -> int:
+        """Number of transitions of the full expansion.
+
+        ``succ`` holds the successors of the states ``codes``, which are
+        counted, not computed again; for the other states only the number is
+        computed.  Their successors differ in the label or in the target
+        digits of the vertices with several moves, so the number depends
+        only on the label bits of the single moves and on the other move
+        tables, and is folded once per such key.
+        """
+        found = dict(zip(codes, map(len, succ)))
+        counts = {}
+        total = 0
+        for code, digits in enumerate(self.all_digits()):
+            n = found.get(code)
+            if n is None:
+                moves = self._moves(digits)
+                if moves is None:
+                    continue
+                pair, forks = moves
+                key = (pair >> self.shift, *forks)
+                n = counts.get(key)
+                if n is None:
+                    n = counts[key] = len(_fold(pair, forks))
+            total += n
+        return total
+
+    def assemble(self, codes, digits, succ) -> CompositeFsm:
+        """The expanded machine on the states ``codes``, from :meth:`explore`'s result.
+
+        Names, ``parts`` tuples and label and output frozensets are built
+        once each, and states and transitions are put in canonical order by
+        integer ranks.
+        """
+        low = (1 << self.shift) - 1
+        machines = self.machines
+
+        # names once per state, ranked by name for the canonical order
+        state_ids = [m.states for m in machines]
+        parts = [tuple(map(getitem, state_ids, ds)) for ds in digits]
+        names = list(map(composite_name, parts))
+        n = len(names)
+        by_name = sorted(range(n), key=names.__getitem__)
+        sorted_names = [names[k] for k in by_name]
+        rank = {codes[k]: r for r, k in enumerate(by_name)}  # code -> rank by name
+
+        # one frozenset per distinct label, ranked by the canonical label key
+        label_of = {p & ~low: None for found in succ for p in found}
+        for u in label_of:
+            label_of[u] = self.symbol_set(u)
+        by_label = sorted(label_of, key=lambda u: _label_key(label_of[u]))
+        labels = [label_of[u] for u in by_label]
+        label_rank = {u: r for r, u in enumerate(by_label)}
+
+        transitions = []
+        for src, k in zip(sorted_names, by_name):
+            transitions += [
+                (src, labels[key // n], sorted_names[key % n])
+                for key in sorted([label_rank[p & ~low] * n + rank[p & low] for p in succ[k]])
+            ]
+
+        out_sets = {}
+        out_map = {}
+        for name, ds in zip(names, digits):
+            mask = reduce(or_, map(list.__getitem__, self.outputs, ds))
+            out = out_sets.get(mask)
+            if out is None:
+                out = out_sets[mask] = self.symbol_set(mask)
+            out_map[name] = out
+
+        arena = self.arena
+        fsm = Fsm(
+            id=f"M_{arena.id}",
+            states=tuple(sorted_names),
+            initial=None if self.initial is None else sorted_names[rank[self.initial]],
+            inputs=frozenset().union(*(m.inputs for m in machines)),
+            outputs=frozenset().union(*(m.outputs for m in machines)),
+            output_map=out_map,
+            transitions=tuple(transitions),
+        )
+        return CompositeFsm(
+            fsm=fsm, arena_id=arena.id, vertex_order=self.order, parts=dict(zip(names, parts))
+        )
+
+
+def _check_guard(arena: Arena, max_states: int) -> int:
+    """The analytic state count of ``arena``; raises if it exceeds ``max_states``."""
+    total = state_count(arena)
+    if total > max_states:
+        raise GuardExceeded(
+            f"full expansion of {arena.id} has {total} states, guard is {max_states}",
+            count=total,
+        )
+    return total
+
 
 def expand(arena: Arena, mode: str = "accessible", max_states: int = DEFAULT_MAX_STATES) -> CompositeFsm:
     """Expand ``arena`` to its flat machine.
@@ -252,94 +409,4 @@ def expand(arena: Arena, mode: str = "accessible", max_states: int = DEFAULT_MAX
     if mode not in ("full", "accessible"):
         raise ValueError(f"unknown expansion mode {mode!r}")
     ex = _Expander(arena)
-    low = (1 << ex.shift) - 1
-
-    initial = None
-    if all(m.initial is not None for m in ex.machines):
-        initial = sum(m.states.index(m.initial) * w for m, w in zip(ex.machines, ex.weights))
-
-    # ascending codes, with the digits and the successors of each
-    if mode == "full":
-        total = state_count(arena)
-        if total > max_states:
-            raise GuardExceeded(
-                f"full expansion of {arena.id} has {total} states, guard is {max_states}",
-                count=total,
-            )
-        codes = range(total)
-        digits = list(product(*(range(len(m.states)) for m in ex.machines)))
-        succ = list(map(ex.successors, digits))
-    else:
-        if initial is None:
-            raise NoInitialState(
-                f"arena {arena.id}: accessible expansion needs initial states on every machine"
-            )
-        digits_of = {initial: ex.decode(initial)}
-        succ_of = {}
-        frontier = [initial]
-        while frontier:
-            code = frontier.pop()
-            succ_of[code] = found = ex.successors(digits_of[code])
-            for p in found:
-                dst = p & low
-                if dst not in digits_of:
-                    if len(digits_of) >= max_states:
-                        raise GuardExceeded(
-                            f"accessible expansion of {arena.id} exceeded the guard {max_states}",
-                            count=len(digits_of) + 1,
-                        )
-                    digits_of[dst] = ex.decode(dst)
-                    frontier.append(dst)
-        codes = sorted(digits_of)
-        digits = [digits_of[c] for c in codes]
-        succ = [succ_of[c] for c in codes]
-
-    # names once per state, ranked by name for the canonical order
-    state_ids = [m.states for m in ex.machines]
-    parts = [tuple(map(getitem, state_ids, ds)) for ds in digits]
-    names = list(map(composite_name, parts))
-    n = len(names)
-    by_name = sorted(range(n), key=names.__getitem__)
-    sorted_names = [names[k] for k in by_name]
-    rank = [0] * n
-    for r, k in enumerate(by_name):
-        rank[k] = r
-    if mode == "accessible":
-        rank = dict(zip(codes, rank))  # code -> rank by name
-
-    # one frozenset per distinct label, ranked by the canonical label key
-    label_of = {p & ~low: None for found in succ for p in found}
-    for u in label_of:
-        label_of[u] = ex.symbol_set(u)
-    by_label = sorted(label_of, key=lambda u: _label_key(label_of[u]))
-    labels = [label_of[u] for u in by_label]
-    label_rank = {u: r for r, u in enumerate(by_label)}
-
-    transitions = []
-    for src, k in zip(sorted_names, by_name):
-        transitions += [
-            (src, labels[key // n], sorted_names[key % n])
-            for key in sorted([label_rank[p & ~low] * n + rank[p & low] for p in succ[k]])
-        ]
-
-    out_sets = {}
-    out_map = {}
-    for name, ds in zip(names, digits):
-        mask = reduce(or_, map(list.__getitem__, ex.outputs, ds))
-        out = out_sets.get(mask)
-        if out is None:
-            out = out_sets[mask] = ex.symbol_set(mask)
-        out_map[name] = out
-
-    fsm = Fsm(
-        id=f"M_{arena.id}",
-        states=tuple(sorted_names),
-        initial=None if initial is None else sorted_names[rank[initial]],
-        inputs=frozenset().union(*(m.inputs for m in ex.machines)),
-        outputs=frozenset().union(*(m.outputs for m in ex.machines)),
-        output_map=out_map,
-        transitions=tuple(transitions),
-    )
-    return CompositeFsm(
-        fsm=fsm, arena_id=arena.id, vertex_order=ex.order, parts=dict(zip(names, parts))
-    )
+    return ex.assemble(*ex.explore(mode, max_states))

@@ -146,7 +146,7 @@ def validate_fsm(
     state_list = sorted({_token("state id", s) for s in states})
     if not state_list:
         raise EmptyStateSet(f"fsm {fsm_id}: at least one state is required")
-    state_set = set(state_list)
+    declared = {s: s for s in state_list}  # an equal string -> the interned id
 
     inp = symbol_set(inputs)
     out = symbol_set(outputs)
@@ -165,7 +165,7 @@ def validate_fsm(
 
     if initial is not None:
         initial = _token("state id", initial)
-        if initial not in state_set:
+        if initial not in declared:
             raise BadInitial(f"fsm {fsm_id}: initial state {initial!r} is not declared")
 
     omap = {}
@@ -180,17 +180,20 @@ def validate_fsm(
             )
         omap[s] = value
     for s in output_map:
-        if _token("state id", s) not in state_set:
+        if _token("state id", s) not in declared:
             raise MissingState(f"fsm {fsm_id}: output map mentions unknown state {s!r}")
 
     trans = set()
     for src, label, dst in transitions:
-        src = _token("state id", src)
-        dst = _token("state id", dst)
-        if src not in state_set:
-            raise MissingState(f"fsm {fsm_id}: transition source {src!r} is not declared")
-        if dst not in state_set:
-            raise MissingState(f"fsm {fsm_id}: transition target {dst!r} is not declared")
+        try:
+            src, dst = declared[src], declared[dst]
+        except (KeyError, TypeError):  # not a declared state: find the first fault
+            src = _token("state id", src)
+            dst = _token("state id", dst)
+            if src not in declared:
+                raise MissingState(f"fsm {fsm_id}: transition source {src!r} is not declared")
+            if dst not in declared:
+                raise MissingState(f"fsm {fsm_id}: transition target {dst!r} is not declared")
         label = checked_set(label)
         extra = label - inp
         if extra:
@@ -199,7 +202,10 @@ def validate_fsm(
             )
         trans.add((src, label, dst))
 
-    ordered = tuple(sorted(trans, key=lambda t: (t[0], _label_key(t[1]), t[2])))
+    # the canonical order (src, _label_key(label), dst), with each distinct
+    # label keyed once
+    rank = {u: r for r, u in enumerate(sorted({u for _, u, _ in trans}, key=_label_key))}
+    ordered = tuple(sorted(trans, key=lambda t: (t[0], rank[t[1]], t[2])))
     return Fsm(fsm_id, tuple(state_list), initial, inp, out, omap, ordered)
 
 
@@ -211,15 +217,26 @@ class Arena:
     vertices: tuple  # of (vertex_id, Fsm), sorted by vertex id
     edges: tuple  # of (src_vertex, dst_vertex), sorted
 
+    # derived from vertices and edges once, in __post_init__
+    _machines: dict = field(init=False, repr=False, compare=False)  # vertex -> Fsm
+    _predecessors: dict = field(init=False, repr=False, compare=False)  # vertex -> frozenset
+
+    def __post_init__(self):
+        pre = {v: [] for v, _ in self.vertices}
+        for a, b in self.edges:
+            pre[b].append(a)
+        object.__setattr__(self, "_machines", dict(self.vertices))
+        object.__setattr__(self, "_predecessors", {v: frozenset(p) for v, p in pre.items()})
+
     @property
     def vertex_ids(self) -> tuple:
         return tuple(v for v, _ in self.vertices)
 
     def machine(self, v: str) -> Fsm:
-        for vid, fsm in self.vertices:
-            if vid == v:
-                return fsm
-        raise UnknownVertex(f"arena {self.id}: unknown vertex {v!r}")
+        try:
+            return self._machines[v]
+        except (KeyError, TypeError):
+            raise UnknownVertex(f"arena {self.id}: unknown vertex {v!r}") from None
 
 
 def validate_arena(
@@ -256,6 +273,7 @@ def validate_arena(
 
 def predecessors(arena: Arena, v: str) -> frozenset:
     """Sources of the communication edges pointing into vertex ``v``."""
-    if v not in dict(arena.vertices):
+    pre = arena._predecessors.get(v)
+    if pre is None:
         raise UnknownVertex(f"arena {arena.id}: unknown vertex {v!r}")
-    return frozenset(a for a, b in arena.edges if b == v)
+    return pre

@@ -1,8 +1,11 @@
+import importlib
 import random
 
 import pytest
+from hypothesis import given
 
 from afsm import (
+    GuardExceeded,
     InitialStateMismatch,
     QuotientSelfLoop,
     arena_quotient,
@@ -18,13 +21,18 @@ from afsm import (
     max_bisimulation,
     quotient,
     reduce,
+    state_count,
     validate_arena,
     validate_fsm,
     verify_theorem_4_2,
 )
 from afsm import compositional
 from afsm.compositional import ClassCoverageGap
-from conftest import bloated_copy, random_arena, random_fsm, renamed_copy
+from afsm.formats import serialize_fsm
+from conftest import bloated_copy, hyp_arenas, random_arena, random_fsm, renamed_copy
+
+# the module, which the package's ``expand`` function shadows
+expand_module = importlib.import_module("afsm.expand")
 
 
 def two_loop_machine():
@@ -231,6 +239,107 @@ def test_reduce_computes_the_classes_once(monkeypatch):
     assert len(calls) == 1
     assert report["classes"] == n_classes
     assert report["quotient_vertices"] == n_vertices
+
+
+@given(hyp_arenas())
+def test_reduce_matches_the_full_expansion(arena):
+    # with initial states reduce builds only the accessible part, without
+    # them the whole product; either way the machine and the report are
+    # those of the full expansion of the quotient arena
+    try:
+        a_min = arena_quotient(arena)
+    except QuotientSelfLoop:
+        with pytest.raises(QuotientSelfLoop):
+            reduce(arena)
+        return
+    full = expand(a_min, mode="full")
+    minimal, report = reduce(arena)
+    assert serialize_fsm(minimal) == serialize_fsm(quotient(full.fsm))
+    assert report["expanded_states"] == len(full.states)
+    assert report["expanded_transitions"] == len(full.transitions)
+    assert report["final_states"] == len(minimal.states)
+    assert report["final_transitions"] == len(minimal.transitions)
+
+
+@given(hyp_arenas())
+def test_reduce_guard_fires_where_the_full_expansion_guard_does(arena):
+    try:
+        a_min = arena_quotient(arena)
+    except QuotientSelfLoop:
+        return
+    n = state_count(a_min)
+    for max_states in (n - 1, n):
+        try:
+            expand(a_min, mode="full", max_states=max_states)
+        except GuardExceeded as exc:
+            with pytest.raises(GuardExceeded) as fired:
+                reduce(arena, max_states=max_states)
+            assert fired.value.count == exc.count == n
+        else:
+            reduce(arena, max_states=max_states)
+
+
+def test_reduce_counts_the_transitions_of_unreached_states():
+    # v's two self-loops {a} and {a,b} lead to one target.  Beside w's
+    # move {b} (in q1) both give the label {a,b}, one transition; beside a
+    # silent move (in q0 and q2) they stay two.  Only q0 is reached, so q1
+    # and q2 are counted by the count-only pass, which must tell the two
+    # cases apart: 2 + 1 + 2 transitions.
+    p = validate_fsm(
+        "P", ["p0"], ["a", "b"], [], {"p0": []},
+        [("p0", ["a"], "p0"), ("p0", ["a", "b"], "p0")], initial="p0",
+    )
+    q = validate_fsm(
+        "Q", ["q0", "q1", "q2"], ["b"], [], {"q0": [], "q1": [], "q2": []},
+        [("q0", [], "q0"), ("q1", ["b"], "q1"), ("q2", [], "q2")], initial="q0",
+    )
+    arena = validate_arena("pq", {"v": p, "w": q}, [])
+    full = expand(arena, mode="full")
+    assert len(full.transitions) == 5
+    _, report = reduce(arena)
+    assert report["expanded_states"] == 3
+    assert report["expanded_transitions"] == 5
+
+
+def test_reduce_computes_the_moves_of_each_state_at_most_once(monkeypatch):
+    rng = random.Random(4006)
+    arenas = [load_fixture("euclid.afsm").arenas["euclid"]]
+    arenas += [random_arena(rng, with_initial=i % 2 == 0) for i in range(20)]
+    seen = []
+    moves_of = expand_module._Expander._moves
+    monkeypatch.setattr(
+        expand_module._Expander, "_moves", lambda ex, ds: seen.append(ds) or moves_of(ex, ds)
+    )
+    for arena in arenas:
+        seen.clear()
+        try:
+            reduce(arena)
+        except QuotientSelfLoop:
+            continue
+        assert len(seen) == len(set(seen))
+
+
+def test_reduce_of_ecoli_names_only_the_reachable_states(monkeypatch):
+    named = []
+    name_of = expand_module.composite_name
+    monkeypatch.setattr(expand_module, "composite_name", lambda p: named.append(p) or name_of(p))
+    minimal, report = reduce(load_fixture("ecoli.afsm").arenas["ecoli"])
+    assert 0 < len(named) <= 306
+    assert report["expanded_states"] == 55296
+    assert report["expanded_transitions"] == 400000
+    assert len(minimal.states) == report["final_states"] == 48
+
+
+def test_ecoli_reduction_agrees_with_the_direct_path():
+    # the accessible expansion of the 17-vertex arena (73,746 states)
+    # quotients to the machine that reduce builds from the 9-vertex
+    # quotient arena: on the paper's own example the reduction holds from
+    # the initial state, though merging vertices is unsound in general
+    arena = load_fixture("ecoli.afsm").arenas["ecoli"]
+    direct = quotient(expand(arena, mode="accessible").fsm)
+    minimal, _ = reduce(arena)
+    assert len(direct.states) == 48
+    assert is_isomorphic(direct, minimal)
 
 
 def test_expansion_preservation_has_a_genuine_counterexample():

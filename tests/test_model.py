@@ -10,6 +10,7 @@ from afsm import (
     validate_arena,
     validate_fsm,
 )
+from afsm import model
 from afsm.model import (
     AlphabetViolation,
     BadInitial,
@@ -21,6 +22,7 @@ from afsm.model import (
     SelfLoop,
     UnknownMachine,
     UnknownVertex,
+    _label_key,
 )
 from conftest import random_fsm
 
@@ -88,6 +90,51 @@ def test_validate_fsm_errors():
         validate_fsm("bad id!", ["x"], [], [], {"x": []}, [])
 
 
+def test_transition_state_errors_report_the_first_fault():
+    def fault(src, dst):
+        with pytest.raises(ModelError) as exc:
+            validate_fsm("m", ["x"], [], [], {"x": []}, [("x", [], "x"), (src, [], dst)])
+        return type(exc.value), str(exc.value)
+
+    invalid = (ModelError, "invalid state id token: 'bad id'")
+    assert fault("bad id", "ghost") == invalid
+    assert fault("ghost", "bad id") == invalid
+    assert fault("x", "bad id") == invalid
+    assert fault("ghost", "x") == (MissingState, "fsm m: transition source 'ghost' is not declared")
+    assert fault("x", "ghost") == (MissingState, "fsm m: transition target 'ghost' is not declared")
+    assert fault(["x"], "x") == (ModelError, "invalid state id token: ['x']")
+
+
+def test_validate_fsm_checks_state_tokens_once_per_state(monkeypatch):
+    # transitions between declared states are looked up, not re-checked
+    calls = []
+    token = model._token
+    monkeypatch.setattr(model, "_token", lambda kind, name: calls.append(name) or token(kind, name))
+    states = [f"s{i}" for i in range(5)]
+    trans = [(a, ["a"], b) for a in states for b in states]
+    m = validate_fsm("m", states, ["a"], [], {s: [] for s in states}, trans)
+    assert len(m.transitions) == 25
+    assert len(calls) == 1 + 2 * len(states)  # the fsm id, the states, the output map
+
+
+def test_transitions_are_ordered_by_the_label_key():
+    # from one source, labels sort as tuples of their sorted symbols
+    labels = [["b"], ["a", "c"], [], ["a"], ["c", "a", "b"]]
+    m = validate_fsm(
+        "m", ["x", "y"], ["a", "b", "c"], [], {"x": [], "y": []},
+        [(s, u, d) for u in labels for s in ("y", "x") for d in ("y", "x")],
+    )
+    assert [tuple(sorted(u)) for s, u, d in m.transitions if s == "x" and d == "x"] == [
+        (), ("a",), ("a", "b", "c"), ("a", "c"), ("b",),
+    ]
+    rng = random.Random(1003)
+    for _ in range(200):
+        m = random_fsm(rng, "m", max_trans=12)
+        assert list(m.transitions) == sorted(
+            m.transitions, key=lambda t: (t[0], _label_key(t[1]), t[2])
+        )
+
+
 def test_empty_label_and_empty_output_are_legal():
     m = validate_fsm("m", ["x"], [], [], {"x": []}, [("x", [], "x")])
     assert m.transitions == (("x", frozenset(), "x"),)
@@ -119,7 +166,11 @@ def test_validate_arena_and_predecessors():
         predecessors(arena, "nope")
     with pytest.raises(UnknownVertex):
         arena.machine("nope")
+    with pytest.raises(UnknownVertex):
+        arena.machine(["m1"])
     assert arena.machine("m1").id == "M1"
+    # the precomputed maps take no part in equality
+    assert arena == load_fixture("euclid.afsm").arenas["euclid"]
 
 
 def test_validate_arena_errors():
