@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .model import Fsm, _label_key
+from .model import Fsm, _label_key, paused_gc
 
 
 class BisimError(ValueError):
@@ -196,6 +196,7 @@ def _split_until_stable(succ, coarse, block):
     return block
 
 
+@paused_gc
 def _blocks(*machines) -> list:
     """Refine the disjoint union of ``machines`` once.
 

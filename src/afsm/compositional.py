@@ -10,14 +10,16 @@ the totality convention, which never touches the product state space.
 :func:`reduce` expands only the quotient arena, and of its product only
 the part its minimal machine is built from: the states reachable from the
 initial state when every machine declares one.  The full product's size
-is still reported, counted on integer codes without building its states.
+is still reported: its states are counted analytically and its
+transitions by one sum of move counts per vertex, without visiting its
+states (see ``expand._Expander.count_transitions``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Arena, Fsm, ModelError, validate_arena
+from .model import Arena, Fsm, ModelError, paused_gc, validate_arena
 from .bisim import (
     InitialStateMismatch,
     _blocks,
@@ -174,17 +176,20 @@ def _arena_quotient(arena: Arena, classes: MachineClasses) -> Arena:
     return validate_arena(f"{arena.id}_min", vertices, edges)
 
 
+@paused_gc
 def reduce(arena: Arena, max_states: int = DEFAULT_MAX_STATES):
     """Five-step reduction: classes, arena quotient, expansion, quotient.
 
     Returns (minimal machine, report) where the report records the size of
     every intermediate step.  The expansion's size is that of the full
     product of the quotient arena, which ``max_states`` guards: its states
-    are counted analytically, its transitions by a count-only pass over
-    the state codes that reuses the successors already found.  Only the
-    states the minimal machine is built from are named: with initial
-    states, those reachable from the initial state, which are all that
-    :func:`quotient` keeps; without them, the whole product.
+    are counted analytically, its transitions by a product of per-vertex
+    sums of move counts, without visiting its states; only states where a
+    machine has two moves into one target are counted one by one, reusing
+    the successors already found.  Only the states the minimal machine is
+    built from are named: with initial states, those reachable from the
+    initial state, which are all that :func:`quotient` keeps; without
+    them, the whole product.
     """
     classes = machine_classes(arena)
     a_min = _arena_quotient(arena, classes)

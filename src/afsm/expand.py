@@ -22,10 +22,18 @@ against.  :func:`expand` computes the same machine on integers:
 Exploration (:meth:`_Expander.explore`) finds the codes of the states and
 their successors; assembly (:meth:`_Expander.assemble`) then builds state
 names, ``parts`` tuples and label and output frozensets once each and puts
-the machine in canonical order by integer ranks.  A caller that needs only
-the size of the full product, such as ``compositional.reduce``, counts its
-transitions on codes (:meth:`_Expander.count_transitions`) and assembles
-just the states it explored.
+the machine in canonical order by integer ranks.
+
+A caller that needs only the size of the full product, such as
+``compositional.reduce``, counts its transitions without visiting its
+states (:meth:`_Expander.count_transitions`) and assembles just the states
+it explored.  Two successors with different target digits are different
+codes, so a state none of whose machine states has two moves into one
+target has exactly the product of its vertices' move counts as
+transitions, whatever the strip; summed over such states, that product
+factorises into one sum per vertex.  Only the states with a *branching*
+machine state, one with two moves into one target, are visited, because
+there stripping and label unions can merge successors.
 """
 
 from __future__ import annotations
@@ -34,9 +42,9 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product
-from operator import getitem, or_
+from operator import getitem, mul, or_
 
-from .model import Arena, Fsm, ModelError, _label_key, predecessors
+from .model import Arena, Fsm, ModelError, _label_key, paused_gc, predecessors
 
 # A full expansion of E. coli's 55,296-state quotient arena (400,000
 # transitions) raises peak RSS from 15.6 MB to 121.5 MB in a fresh
@@ -304,30 +312,37 @@ class _Expander:
         return codes, [digits_of[c] for c in codes], [succ_of[c] for c in codes]
 
     def count_transitions(self, codes, succ) -> int:
-        """Number of transitions of the full expansion.
+        """Number of transitions of the full expansion, without visiting its states.
 
-        ``succ`` holds the successors of the states ``codes``, which are
-        counted, not computed again; for the other states only the number is
-        computed.  Their successors differ in the label or in the target
-        digits of the vertices with several moves, so the number depends
-        only on the label bits of the single moves and on the other move
-        tables, and is folded once per such key.
+        A machine state is *plain* if its moves lead to distinct targets and
+        *branching* otherwise.  The successors of a composite state of plain
+        states differ in their target digits, so there are exactly as many
+        as the product of its vertices' move counts: a deadlock counts 0, and
+        stripping cannot merge two moves.  Summed over all such states, the
+        product is the product of one sum per vertex.  The states that
+        include a branching machine state are enumerated, by the position of
+        the first one, and counted exactly: ``succ`` holds the successors of
+        the states ``codes``, which are counted, not computed again; the
+        others are folded.  States with a deadlocked machine state are never
+        visited.
         """
+        plain, branching = [], []
+        for moves in self.moves:
+            p, b = [], []
+            for d, mv in enumerate(moves):
+                if mv:
+                    (p if len({t for _, t in mv}) == len(mv) else b).append(d)
+            plain.append(p)
+            branching.append(b)
+        total = math.prod(sum(len(moves[d]) for d in p) for moves, p in zip(self.moves, plain))
+        if not any(branching):
+            return total
         found = dict(zip(codes, map(len, succ)))
-        counts = {}
-        total = 0
-        for code, digits in enumerate(self.all_digits()):
-            n = found.get(code)
-            if n is None:
-                moves = self._moves(digits)
-                if moves is None:
-                    continue
-                pair, forks = moves
-                key = (pair >> self.shift, *forks)
-                n = counts.get(key)
-                if n is None:
-                    n = counts[key] = len(_fold(pair, forks))
-            total += n
+        live = [p + b for p, b in zip(plain, branching)]
+        for k, b in enumerate(branching):
+            for digits in product(*plain[:k], b, *live[k + 1:]):
+                n = found.get(sum(map(mul, digits, self.weights)))
+                total += len(_fold(*self._moves(digits))) if n is None else n
         return total
 
     def assemble(self, codes, digits, succ) -> CompositeFsm:
@@ -399,6 +414,7 @@ def _check_guard(arena: Arena, max_states: int) -> int:
     return total
 
 
+@paused_gc
 def expand(arena: Arena, mode: str = "accessible", max_states: int = DEFAULT_MAX_STATES) -> CompositeFsm:
     """Expand ``arena`` to its flat machine.
 

@@ -14,9 +14,11 @@ serialization and downstream computations are deterministic.
 
 from __future__ import annotations
 
+import gc
 import re
 import sys
 from dataclasses import dataclass, field
+from functools import wraps
 from typing import Iterable, Mapping, Optional
 
 TOKEN_RE = re.compile(r"[A-Za-z0-9_.*'+-]+\Z")
@@ -277,3 +279,26 @@ def predecessors(arena: Arena, v: str) -> frozenset:
     if pre is None:
         raise UnknownVertex(f"arena {arena.id}: unknown vertex {v!r}")
     return pre
+
+
+def paused_gc(fn):
+    """Run ``fn`` with the cyclic garbage collector off.
+
+    Expansion and refinement allocate millions of ints and tuples that
+    cannot form cycles, and each collection the allocations trigger scans
+    them all; reference counting still frees them.  The caller's
+    ``gc.isenabled()`` state is restored on every exit.  A plain wrapper
+    costs a tenth of a ``contextmanager``, which matters on small arenas.
+    """
+
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused

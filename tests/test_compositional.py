@@ -330,6 +330,20 @@ def test_reduce_of_ecoli_names_only_the_reachable_states(monkeypatch):
     assert len(minimal.states) == report["final_states"] == 48
 
 
+def test_reduce_of_ecoli_computes_the_moves_of_the_reachable_states_only(monkeypatch):
+    # no machine state of E. coli's quotient arena has two moves into one
+    # target, so the full product's transitions are counted without
+    # visiting any of the 54,990 unreached states
+    seen = []
+    moves_of = expand_module._Expander._moves
+    monkeypatch.setattr(
+        expand_module._Expander, "_moves", lambda ex, ds: seen.append(ds) or moves_of(ex, ds)
+    )
+    _, report = reduce(load_fixture("ecoli.afsm").arenas["ecoli"])
+    assert 0 < len(seen) <= 306
+    assert report["expanded_transitions"] == 400000
+
+
 def test_ecoli_reduction_agrees_with_the_direct_path():
     # the accessible expansion of the 17-vertex arena (73,746 states)
     # quotients to the machine that reduce builds from the 9-vertex

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -18,8 +20,10 @@ from afsm.expand import (
     GuardExceeded,
     NoInitialState,
     UnknownComponentState,
+    _Expander,
     composite_name,
 )
+from afsm.cli import _bench_arena
 from afsm.model import _label_key
 from conftest import hyp_arenas, random_arena
 
@@ -152,6 +156,26 @@ def test_accessible_guard_reports_states_seen():
     assert exc.value.count == 51
 
 
+@pytest.mark.parametrize("enabled", [True, False])
+def test_expand_restores_the_gc_state_when_the_guard_fires(enabled, monkeypatch):
+    arena = load_fixture("ecoli.afsm").arenas["ecoli"]
+    during = []
+    successors = _Expander.successors
+    monkeypatch.setattr(
+        _Expander, "successors", lambda ex, ds: during.append(gc.isenabled()) or successors(ex, ds)
+    )
+    before = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with pytest.raises(GuardExceeded):
+            expand(arena, mode="accessible", max_states=50)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if before else gc.disable)()
+    # the guard fired partway through exploring, with the collector paused
+    assert during and not any(during)
+
+
 def test_composite_names_are_injective_on_dotted_state_ids():
     # "a" + "b.c" and "a.b" + "c" would both join to "a.b.c"
     def two_cycle(fid, states):
@@ -265,3 +289,81 @@ def test_expansion_matches_the_reference_semantics(arena):
         )
         assert comp.fsm.inputs == frozenset().union(*(m.inputs for m in machines))
         assert comp.fsm.outputs == frozenset().union(*(m.outputs for m in machines))
+
+
+def machine(fid, moves, outputs=None):
+    """A machine with ``moves`` (src, label, dst); ``outputs`` maps states to output sets."""
+    outputs = outputs or {}
+    states = sorted({s for s, _, _ in moves} | {d for _, _, d in moves} | set(outputs))
+    inputs = sorted({x for _, label, _ in moves for x in label})
+    return validate_fsm(
+        fid, states, inputs, sorted({y for ys in outputs.values() for y in ys}),
+        {s: outputs.get(s, []) for s in states}, moves,
+    )
+
+
+def assert_counts_the_full_expansion(arena):
+    # no successors found beforehand, so every transition is counted
+    assert _Expander(arena).count_transitions([], []) == len(expand(arena, mode="full").transitions)
+
+
+def test_count_keeps_a_vertex_whose_predecessor_comes_later():
+    # a0 moves to a0 on {x} and on {x,y}; b, after a in vertex order,
+    # outputs y in b1, which strips the two moves to one
+    a = machine("A", [("a0", ["x"], "a0"), ("a0", ["x", "y"], "a0"), ("a0", [], "a1"), ("a1", [], "a0")])
+    b = machine("B", [("b0", [], "b1"), ("b1", [], "b0")], {"b1": ["y"]})
+    arena = validate_arena("late", {"a": a, "b": b}, [("b", "a")])
+    assert arena.vertex_ids == ("a", "b")
+    assert_counts_the_full_expansion(arena)
+
+
+def test_count_drops_every_state_of_a_deadlocked_last_vertex():
+    # z, last in vertex order, cannot move in z1; x branches on z's output
+    x = machine("X", [("x0", ["p"], "x0"), ("x0", ["p", "q"], "x0"), ("x0", ["p"], "x1"), ("x1", [], "x0")])
+    y = machine("Y", [("y0", ["q"], "y1"), ("y1", [], "y0"), ("y1", ["q"], "y1")], {"y0": ["q"]})
+    z = machine("Z", [("z0", [], "z1"), ("z0", ["p"], "z0")], {"z0": ["q"], "z1": ["p"]})
+    arena = validate_arena("dead", {"x": x, "y": y, "z": z}, [("z", "x"), ("x", "y"), ("y", "z")])
+    assert _Expander(arena).count_transitions([], []) > 0
+    assert_counts_the_full_expansion(arena)
+
+
+def test_count_on_a_complete_digraph():
+    m = machine(
+        "M",
+        [("s0", ["a"], "s0"), ("s0", ["a", "b"], "s0"), ("s0", ["b"], "s1"),
+         ("s1", [], "s0"), ("s1", ["a"], "s1")],
+        {"s0": ["a"], "s1": ["b"]},
+    )
+    n = machine("N", [("t0", ["b"], "t1"), ("t1", ["a"], "t0"), ("t1", [], "t1")], {"t1": ["a", "b"]})
+    vertices = {"v0": m, "v1": n, "v2": m, "v3": n}
+    arena = validate_arena("k4", vertices, list(itertools.permutations(vertices, 2)))
+    assert_counts_the_full_expansion(arena)
+
+
+def test_count_on_a_star_whose_hub_branches():
+    # the hub's moves {a} and {a,b} into h0 give one label beside a leaf's
+    # single move {b}, and two beside a silent one; leaves strip b in l1
+    hub = machine("H", [("h0", ["a"], "h0"), ("h0", ["a", "b"], "h0"), ("h0", ["c"], "h1"), ("h1", ["a"], "h0")])
+    leaf = machine("L", [("l0", ["b"], "l1"), ("l1", [], "l0")], {"l1": ["b"]})
+    vertices = {"hub": hub, **{f"leaf{i}": leaf for i in range(3)}}
+    arena = validate_arena("star", vertices, [(f"leaf{i}", "hub") for i in range(3)])
+    assert_counts_the_full_expansion(arena)
+
+
+@given(hyp_arenas())
+def test_count_transitions_matches_the_full_expansion(arena):
+    assert_counts_the_full_expansion(arena)
+
+
+@pytest.mark.parametrize("family", ["ring", "star"])
+def test_counting_transitions_does_not_visit_the_states(family):
+    # every state of the ping and pong machines has one move, so each of
+    # the 2**n composite states has one transition; visiting the 524,288
+    # states of n = 19 takes seconds
+    assert len(expand(_bench_arena(family, 6), mode="full").transitions) == 2**6
+    arena = _bench_arena(family, 19)
+    t0 = time.perf_counter()
+    count = _Expander(arena).count_transitions([], [])
+    elapsed = time.perf_counter() - t0
+    assert count == state_count(arena) == 2**19
+    assert elapsed < 1.0
