@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .model import Fsm, _label_key, paused_gc
+from .model import Fsm, _fsm, _label_key, paused_gc
 
 
 class BisimError(ValueError):
@@ -329,15 +329,9 @@ def _accessible_part(m: Fsm) -> Fsm:
         frontier = nxt
     if len(seen) == len(m.states):
         return m
-    return Fsm(
-        id=m.id,
-        states=tuple(s for s in m.states if s in seen),
-        initial=m.initial,
-        inputs=m.inputs,
-        outputs=m.outputs,
-        output_map={s: m.output_map[s] for s in seen},
-        transitions=tuple(t for t in m.transitions if t[0] in seen),
-    )
+    out_map = {s: m.output_map[s] for s in seen}
+    trans = (t for t in m.transitions if t[0] in seen)
+    return _fsm(m.id, seen, m.initial, m.inputs, m.outputs, out_map, trans)
 
 
 def quotient(m: Fsm) -> Fsm:
@@ -357,16 +351,10 @@ def quotient(m: Fsm) -> Fsm:
         for s in b:
             rep[s] = name
     out_map = {min(b): m.output_map[min(b)] for b in blocks}
+    initial = None if m.initial is None else rep[m.initial]
+    # a set: many transitions collapse onto one between blocks
     trans = {(rep[src], label, rep[dst]) for src, label, dst in m.transitions}
-    return Fsm(
-        id=m.id,
-        states=tuple(sorted(out_map)),
-        initial=None if m.initial is None else rep[m.initial],
-        inputs=m.inputs,
-        outputs=m.outputs,
-        output_map=out_map,
-        transitions=tuple(sorted(trans, key=lambda t: (t[0], _label_key(t[1]), t[2]))),
-    )
+    return _fsm(m.id, out_map, initial, m.inputs, m.outputs, out_map, trans)
 
 
 def _iso_candidate_check(m1: Fsm, m2: Fsm, mapping: dict) -> bool:

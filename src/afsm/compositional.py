@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Arena, Fsm, ModelError, paused_gc, validate_arena
+from .model import Arena, Fsm, ModelError, _fsm, paused_gc, validate_arena
 from .bisim import (
     InitialStateMismatch,
     _blocks,
@@ -108,15 +108,10 @@ def induce_fsm(arena: Arena, classes: MachineClasses, arena_index: int = 0) -> F
                 f"arena {arena.id}: vertex {v!r} is not covered by the machine classes"
             )
     empty = frozenset()
-    return Fsm(
-        id=f"induced_{arena.id}",
-        states=arena.vertex_ids,
-        initial=None,
-        inputs=empty,
-        outputs=frozenset(classes.tokens()),
-        output_map={v: frozenset({classes.token_of(arena_index, v)}) for v in arena.vertex_ids},
-        transitions=tuple((a, empty, b) for a, b in arena.edges),
-    )
+    out_map = {v: frozenset({classes.token_of(arena_index, v)}) for v in arena.vertex_ids}
+    trans = ((a, empty, b) for a, b in arena.edges)
+    tokens = frozenset(classes.tokens())
+    return _fsm(f"induced_{arena.id}", out_map, None, empty, tokens, out_map, trans)
 
 
 def comp_bisimulation(a1: Arena, a2: Arena) -> frozenset:

@@ -21,8 +21,9 @@ against.  :func:`expand` computes the same machine on integers:
 
 Exploration (:meth:`_Expander.explore`) finds the codes of the states and
 their successors; assembly (:meth:`_Expander.assemble`) then builds state
-names, ``parts`` tuples and label and output frozensets once each and puts
-the machine in canonical order by integer ranks.
+names, ``parts`` tuples and label and output frozensets once each, and
+hands the transitions, in any order, to ``model._fsm``, which puts the
+machine in canonical order.
 
 A caller that needs only the size of the full product, such as
 ``compositional.reduce``, counts its transitions without visiting its
@@ -44,7 +45,7 @@ from functools import reduce
 from itertools import product
 from operator import getitem, mul, or_
 
-from .model import Arena, Fsm, ModelError, _label_key, paused_gc, predecessors
+from .model import Arena, Fsm, ModelError, _fsm, paused_gc, predecessors
 
 # A full expansion of E. coli's 55,296-state quotient arena (400,000
 # transitions) raises peak RSS from 15.6 MB to 121.5 MB in a fresh
@@ -114,9 +115,6 @@ class CompositeFsm:
     def output_map(self):
         return self.fsm.output_map
 
-    def state_tuples(self):
-        return frozenset(self.parts.values())
-
 
 def state_count(arena: Arena) -> int:
     """Exact number of composite states, computed analytically."""
@@ -178,6 +176,18 @@ def _fold(pair: int, forks):
     for moves in forks:
         acc = {(p | u) + t for p in acc for u, t in moves}
     return acc
+
+
+class _SymbolSets(dict):
+    """Shifted mask -> its frozenset of symbols, each built once on first lookup."""
+
+    def __init__(self, symbol_set):
+        super().__init__()
+        self.symbol_set = symbol_set
+
+    def __missing__(self, mask):
+        value = self[mask] = self.symbol_set(mask)
+        return value
 
 
 class _Expander:
@@ -291,6 +301,10 @@ class _Expander:
             raise NoInitialState(
                 f"arena {arena.id}: accessible expansion needs initial states on every machine"
             )
+        if max_states < 1:  # the initial state counts against the guard too
+            raise GuardExceeded(
+                f"accessible expansion of {arena.id} exceeded the guard {max_states}", count=1
+            )
         low = (1 << self.shift) - 1
         digits_of = {self.initial: self.decode(self.initial)}
         succ_of = {}
@@ -349,55 +363,30 @@ class _Expander:
         """The expanded machine on the states ``codes``, from :meth:`explore`'s result.
 
         Names, ``parts`` tuples and label and output frozensets are built
-        once each, and states and transitions are put in canonical order by
-        integer ranks.
+        once each; :func:`model._fsm` puts the machine in canonical order.
         """
         low = (1 << self.shift) - 1
         machines = self.machines
-
-        # names once per state, ranked by name for the canonical order
         state_ids = [m.states for m in machines]
         parts = [tuple(map(getitem, state_ids, ds)) for ds in digits]
         names = list(map(composite_name, parts))
-        n = len(names)
-        by_name = sorted(range(n), key=names.__getitem__)
-        sorted_names = [names[k] for k in by_name]
-        rank = {codes[k]: r for r, k in enumerate(by_name)}  # code -> rank by name
+        name_of = dict(zip(codes, names))
 
-        # one frozenset per distinct label, ranked by the canonical label key
-        label_of = {p & ~low: None for found in succ for p in found}
-        for u in label_of:
-            label_of[u] = self.symbol_set(u)
-        by_label = sorted(label_of, key=lambda u: _label_key(label_of[u]))
-        labels = [label_of[u] for u in by_label]
-        label_rank = {u: r for r, u in enumerate(by_label)}
-
-        transitions = []
-        for src, k in zip(sorted_names, by_name):
-            transitions += [
-                (src, labels[key // n], sorted_names[key % n])
-                for key in sorted([label_rank[p & ~low] * n + rank[p & low] for p in succ[k]])
-            ]
-
-        out_sets = {}
-        out_map = {}
-        for name, ds in zip(names, digits):
-            mask = reduce(or_, map(list.__getitem__, self.outputs, ds))
-            out = out_sets.get(mask)
-            if out is None:
-                out = out_sets[mask] = self.symbol_set(mask)
-            out_map[name] = out
+        sets = _SymbolSets(self.symbol_set)
+        high = ~low
+        transitions = [
+            (src, sets[p & high], name_of[p & low]) for src, found in zip(names, succ) for p in found
+        ]
+        out_map = {
+            name: sets[reduce(or_, map(list.__getitem__, self.outputs, ds))]
+            for name, ds in zip(names, digits)
+        }
 
         arena = self.arena
-        fsm = Fsm(
-            id=f"M_{arena.id}",
-            states=tuple(sorted_names),
-            initial=None if self.initial is None else sorted_names[rank[self.initial]],
-            inputs=frozenset().union(*(m.inputs for m in machines)),
-            outputs=frozenset().union(*(m.outputs for m in machines)),
-            output_map=out_map,
-            transitions=tuple(transitions),
-        )
+        initial = None if self.initial is None else name_of[self.initial]
+        inputs = frozenset().union(*(m.inputs for m in machines))
+        outputs = frozenset().union(*(m.outputs for m in machines))
+        fsm = _fsm(f"M_{arena.id}", names, initial, inputs, outputs, out_map, transitions)
         return CompositeFsm(
             fsm=fsm, arena_id=arena.id, vertex_order=self.order, parts=dict(zip(names, parts))
         )

@@ -71,11 +71,6 @@ class ModelDocument:
         return self.fsms == other.fsms and self.arenas == other.arenas
 
 
-def _split_directive(line: str):
-    # tokens are runs of non-space; sets keep their braces as one token
-    return line.split()
-
-
 def _parse_set(tok: str, line_no: int) -> list:
     m = _SET_RE.match(tok)
     if not m:
@@ -112,7 +107,8 @@ def parse(text: str, source: str | None = None) -> ModelDocument:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        toks = _split_directive(line)
+        # tokens are runs of non-space; sets keep their braces as one token
+        toks = line.split()
         kw = toks[0]
 
         if kw in ("fsm", "arena"):

@@ -18,7 +18,7 @@ import gc
 import re
 import sys
 from dataclasses import dataclass, field
-from functools import wraps
+from functools import cached_property, wraps
 from typing import Iterable, Mapping, Optional
 
 TOKEN_RE = re.compile(r"[A-Za-z0-9_.*'+-]+\Z")
@@ -92,10 +92,11 @@ def _label_key(label: SymbolSet) -> tuple:
 
 @dataclass(frozen=True)
 class Fsm:
-    """A validated, canonically ordered finite state machine.
+    """A canonically ordered finite state machine.
 
-    Construct through :func:`validate_fsm`; the constructor itself trusts
-    its arguments.
+    :func:`validate_fsm` is the checked way to build one from a raw
+    description.  :func:`_fsm`, which trusts its arguments and puts them
+    in canonical order, is the only code that calls this constructor.
     """
 
     id: str
@@ -106,15 +107,15 @@ class Fsm:
     output_map: Mapping[str, SymbolSet]
     transitions: tuple  # of (src, label, dst), canonically sorted
 
-    _succ: dict = field(default=None, repr=False, compare=False)
+    @cached_property
+    def _succ(self) -> dict:
+        succ = {s: [] for s in self.states}
+        for src, label, dst in self.transitions:
+            succ[src].append((label, dst))
+        return succ
 
     def successors(self, state: str):
         """Outgoing (label, dst) pairs of ``state``."""
-        if self._succ is None:
-            succ = {s: [] for s in self.states}
-            for src, label, dst in self.transitions:
-                succ[src].append((label, dst))
-            object.__setattr__(self, "_succ", succ)
         return self._succ[state]
 
     def renamed(self, new_id: str, mapping: Mapping[str, str]) -> "Fsm":
@@ -141,8 +142,8 @@ def validate_fsm(
 ) -> Fsm:
     """Validate a raw machine description and return a canonical ``Fsm``.
 
-    States and transitions are ordered lexicographically, so equal raw
-    descriptions always produce identical machines.
+    Every check runs here, and :func:`_fsm` puts the result in canonical
+    order, so equal raw descriptions always produce identical machines.
     """
     fsm_id = _token("fsm id", fsm_id)
     state_list = sorted({_token("state id", s) for s in states})
@@ -185,7 +186,7 @@ def validate_fsm(
         if _token("state id", s) not in declared:
             raise MissingState(f"fsm {fsm_id}: output map mentions unknown state {s!r}")
 
-    trans = set()
+    trans = []
     for src, label, dst in transitions:
         try:
             src, dst = declared[src], declared[dst]
@@ -202,13 +203,34 @@ def validate_fsm(
             raise AlphabetViolation(
                 f"fsm {fsm_id}: transition label of {src!r} uses undeclared symbols {sorted(extra)}"
             )
-        trans.add((src, label, dst))
+        trans.append((src, label, dst))
 
-    # the canonical order (src, _label_key(label), dst), with each distinct
-    # label keyed once
-    rank = {u: r for r, u in enumerate(sorted({u for _, u, _ in trans}, key=_label_key))}
-    ordered = tuple(sorted(trans, key=lambda t: (t[0], rank[t[1]], t[2])))
-    return Fsm(fsm_id, tuple(state_list), initial, inp, out, omap, ordered)
+    return _fsm(fsm_id, state_list, initial, inp, out, omap, trans)
+
+
+def _fsm(fsm_id, states, initial, inputs, outputs, output_map, transitions) -> Fsm:
+    """The one trusted constructor: an ``Fsm`` in canonical order.
+
+    The arguments are trusted to describe a valid machine: distinct state
+    ids, and transitions in any order whose endpoints are among them.
+    States are sorted by id, and each state and each distinct label is
+    ranked once.  Transitions are ordered by (src, _label_key(label), dst):
+    grouped by source, and keyed within a source by one packed int of label
+    rank and target rank, so equal transitions collapse into one.  (Packing
+    the source too gives a large machine keys above 2**30, which sort about
+    twice as slowly.)
+    """
+    states = sorted(states)
+    transitions = list(transitions)
+    labels = sorted({u for _, u, _ in transitions}, key=_label_key)
+    n = len(states)
+    rank = {s: r for r, s in enumerate(states)}
+    label_rank = {u: r * n for r, u in enumerate(labels)}
+    moves = [{} for _ in states]  # per source rank: packed key -> transition
+    for t in transitions:
+        moves[rank[t[0]]][label_rank[t[1]] + rank[t[2]]] = t
+    ordered = tuple([m[k] for m in moves for k in sorted(m)])
+    return Fsm(fsm_id, tuple(states), initial, inputs, outputs, output_map, ordered)
 
 
 @dataclass(frozen=True)

@@ -137,6 +137,12 @@ def test_expand_accessible_guard_reports_states_seen():
     assert "3623878656" not in err
 
 
+def test_expand_accessible_guard_counts_the_initial_state():
+    code, _, err = invoke("expand", ECOLI, "ecoli", "--accessible", "--max-states", "0")
+    assert code == 2
+    assert "states seen: 1" in err
+
+
 def test_minimize(tmp_path):
     out_path = tmp_path / "min.afsm"
     code, out, _ = invoke("minimize", EUCLID, "M3", "-o", str(out_path))

@@ -156,6 +156,16 @@ def test_accessible_guard_reports_states_seen():
     assert exc.value.count == 51
 
 
+def test_the_accessible_guard_counts_the_initial_state():
+    m = validate_fsm("m", ["s"], [], [], {"s": []}, [("s", [], "s")], initial="s")
+    arena = validate_arena("one", {"v": m}, [])
+    for mode in ("full", "accessible"):
+        with pytest.raises(GuardExceeded) as exc:
+            expand(arena, mode=mode, max_states=0)
+        assert exc.value.count == 1
+        assert len(expand(arena, mode=mode, max_states=1).states) == 1
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_expand_restores_the_gc_state_when_the_guard_fires(enabled, monkeypatch):
     arena = load_fixture("ecoli.afsm").arenas["ecoli"]

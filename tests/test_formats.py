@@ -1,15 +1,23 @@
 import random
 
 import pytest
+from hypothesis import given
 
 from afsm import (
+    QuotientSelfLoop,
+    expand,
     export_dot,
     fixture_path,
+    induce_fsm,
     load_fixture,
+    machine_classes,
     parse,
+    quotient,
+    reduce,
     serialize,
     validate_fsm,
 )
+from afsm.bisim import _accessible_part
 from afsm.formats import (
     DuplicateName,
     FormatError,
@@ -18,7 +26,7 @@ from afsm.formats import (
     serialize_fsm,
 )
 from afsm.model import MissingState
-from conftest import random_document
+from conftest import hyp_arenas, random_document
 
 FIXTURES = ("euclid.afsm", "counterexample.afsm", "ecoli.afsm")
 
@@ -181,3 +189,20 @@ def test_serialize_arena_standalone():
     text = serialize_arena(doc.arenas["euclid"])
     assert text.splitlines()[0] == "arena euclid"
     assert "  edge m1 m3" in text.splitlines()
+
+
+@given(hyp_arenas())
+def test_every_machine_the_library_builds_is_a_parse_fixpoint(arena):
+    # parsing puts a machine in canonical order, so a built machine that
+    # survives the round trip unchanged was built in canonical order
+    built = [induce_fsm(arena, machine_classes(arena))]
+    modes = ("full", "accessible") if arena.vertices[0][1].initial is not None else ("full",)
+    for mode in modes:
+        flat = expand(arena, mode=mode).fsm
+        built += [flat, quotient(flat), _accessible_part(flat)]
+    try:
+        built.append(reduce(arena)[0])
+    except QuotientSelfLoop:
+        pass
+    for m in built:
+        assert parse(serialize_fsm(m)).fsms[m.id] == m

@@ -1,4 +1,7 @@
+import ast
+import dataclasses
 import random
+from pathlib import Path
 
 import pytest
 
@@ -154,6 +157,47 @@ def test_successors():
     m = make_m1()
     assert m.successors("1") == [(frozenset({"z1"}), "2")]
     assert m.successors("2") == [(frozenset(), "1")]
+
+
+def test_successors_of_a_replaced_machine_are_its_own():
+    m = make_m1()
+    assert m.successors("1") == [(frozenset({"z1"}), "2")]
+    # the successor cache belongs to one machine: a copy with other
+    # transitions computes its own
+    bare = dataclasses.replace(m, transitions=())
+    assert bare.successors("1") == []
+    assert bare.successors("2") == []
+    # and takes no part in equality
+    assert m == make_m1()
+    assert bare == dataclasses.replace(make_m1(), transitions=())
+
+
+def fsm_constructor_calls(tree):
+    """(enclosing function, line) of every call to ``Fsm`` in a module."""
+    calls = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "Fsm":
+                    calls.append((where, child.lineno))
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+            visit(child, inner)
+
+    visit(tree, None)
+    return calls
+
+
+def test_only_the_trusted_constructor_builds_machines():
+    # every Fsm is built by model._fsm, which owns the canonical order
+    found = {}
+    for path in sorted(Path(model.__file__).parent.glob("*.py")):
+        calls = fsm_constructor_calls(ast.parse(path.read_text(encoding="utf-8")))
+        if calls:
+            found[path.name] = [where for where, _ in calls]
+    assert found == {"model.py": ["_fsm"]}
 
 
 def test_validate_arena_and_predecessors():
