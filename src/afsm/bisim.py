@@ -1,23 +1,24 @@
 """Bisimulation equivalence: maximal relation, decision, quotient, isomorphism.
 
 Every question is answered by one partition refinement of the disjoint
-union of the machines involved.  States start grouped by output set;
-signature passes split blocks by their outgoing (label, target-block)
-sets while each pass at least doubles the number of blocks, and the
-splitter-based algorithm of Paige & Tarjan (SIAM J. Comput. 1987) takes
-over from there, so the whole refinement costs O(m log n) for n states
-and m transitions.  Two states are bisimilar iff they share a block, so
-R*, the bisimilarity verdict, the self-partition and the isomorphism
-candidate are all read off the block ids that :func:`_blocks` returns.  A
-brute-force greatest-fixpoint oracle over the dense pair table is provided
-for cross-checking.
+union of the machines involved, on the integer moves that
+``model._index`` gives.  States start grouped by output set; signature
+passes split blocks by their outgoing (label, target-block) sets while
+each pass at least doubles the number of blocks, and the splitter-based
+algorithm of Paige & Tarjan (SIAM J. Comput. 1987) takes over from there,
+so the whole refinement costs O(m log n) for n states and m transitions.
+Two states are bisimilar iff they share a block, so R*, the bisimilarity
+verdict and the self-partition are read off the block ids that
+:func:`_blocks` returns, and :func:`quotient` names the blocks of the
+reachable part.  An isomorphism is a bisimulation, so
+:func:`is_isomorphic` searches only the bijections that keep each state
+in its own block.  A brute-force greatest-fixpoint oracle over the dense
+pair table is provided for cross-checking.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from .model import Fsm, _fsm, _label_key, paused_gc
+from .model import Fsm, _fsm, _index, paused_gc
 
 
 class BisimError(ValueError):
@@ -33,7 +34,7 @@ class TooLarge(BisimError):
 
 
 class TooLargeForGeneralIso(BisimError):
-    """Backtracking isomorphism guard exceeded on a non-minimal machine."""
+    """A block holds more states than the isomorphism search is guarded for."""
 
 
 def _refine(n_states, outputs, succ):
@@ -208,20 +209,12 @@ def _blocks(*machines) -> list:
     labels = {}
     outputs = []
     succ = []
-    offsets = []
     for m in machines:
-        off = len(outputs)
-        idx = {s: off + i for i, s in enumerate(m.states)}
-        outputs += [m.output_map[s] for s in m.states]
-        succ += [[] for _ in m.states]
-        for src, label, dst in m.transitions:
-            succ[idx[src]].append((labels.setdefault(label, len(labels)), idx[dst]))
-        offsets.append(off)
-    block = _refine(len(outputs), outputs, succ)
-    return [
-        dict(zip(m.states, block[off:off + len(m.states)]))
-        for m, off in zip(machines, offsets)
-    ]
+        succ += _index(m, labels, len(outputs))
+        outputs += map(m.output_map.__getitem__, m.states)
+    # one iterator over the block ids: each machine's zip takes its own states' share
+    block = iter(_refine(len(outputs), outputs, succ))
+    return [dict(zip(m.states, block)) for m in machines]
 
 
 def _pairs(b1: dict, b2: dict) -> frozenset:
@@ -313,27 +306,7 @@ def is_bisimilar(m1: Fsm, m2: Fsm) -> bool:
     return _verdict(m1, m2, *_blocks(m1, m2))
 
 
-def _accessible_part(m: Fsm) -> Fsm:
-    """The sub-machine on the states reachable from the initial state."""
-    if m.initial is None:
-        return m
-    seen = {m.initial}
-    frontier = [m.initial]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for _, dst in m.successors(s):
-                if dst not in seen:
-                    seen.add(dst)
-                    nxt.append(dst)
-        frontier = nxt
-    if len(seen) == len(m.states):
-        return m
-    out_map = {s: m.output_map[s] for s in seen}
-    trans = (t for t in m.transitions if t[0] in seen)
-    return _fsm(m.id, seen, m.initial, m.inputs, m.outputs, out_map, trans)
-
-
+@paused_gc
 def quotient(m: Fsm) -> Fsm:
     """The minimal machine bisimilar to ``m``.
 
@@ -343,121 +316,109 @@ def quotient(m: Fsm) -> Fsm:
     the maximal self-bisimulation; each block is named after its
     lexicographically least member, so the result is deterministic.
     """
-    m = _accessible_part(m)
-    blocks = self_partition(m)
-    rep = {}
-    for b in blocks:
-        name = min(b)
-        for s in b:
-            rep[s] = name
-    out_map = {min(b): m.output_map[min(b)] for b in blocks}
-    initial = None if m.initial is None else rep[m.initial]
+    labels = {}
+    succ = _index(m, labels)
+    keep = range(len(m.states))
+    if m.initial is not None:
+        start = m.states.index(m.initial)
+        seen = {start}
+        stack = [start]
+        while stack:
+            for _, d in succ[stack.pop()]:
+                if d not in seen:
+                    seen.add(d)
+                    stack.append(d)
+        if len(seen) < len(keep):
+            keep = sorted(seen)
+            local = {p: i for i, p in enumerate(keep)}
+            succ = [[(lab, local[d]) for lab, d in succ[p]] for p in keep]
+    states = [m.states[p] for p in keep]
+    block = _refine(len(states), [m.output_map[s] for s in states], succ)
+    # states are in id order, so a block's first member is its least
+    name = {}
+    for s, b in zip(states, block):
+        name.setdefault(b, s)
+    rep = [name[b] for b in block]
+    label = list(labels)
     # a set: many transitions collapse onto one between blocks
-    trans = {(rep[src], label, rep[dst]) for src, label, dst in m.transitions}
+    trans = {(rep[i], label[lab], rep[d]) for i, moves in enumerate(succ) for lab, d in moves}
+    out_map = {s: m.output_map[s] for s in name.values()}
+    initial = None if m.initial is None else rep[keep.index(start)]
     return _fsm(m.id, out_map, initial, m.inputs, m.outputs, out_map, trans)
-
-
-def _iso_candidate_check(m1: Fsm, m2: Fsm, mapping: dict) -> bool:
-    """Verify that ``mapping`` is an isomorphism witness."""
-    if len(mapping) != len(m1.states) or len(set(mapping.values())) != len(m2.states):
-        return False
-    if m1.initial is not None and mapping[m1.initial] != m2.initial:
-        return False
-    for s in m1.states:
-        if m1.output_map[s] != m2.output_map[mapping[s]]:
-            return False
-    t2 = set(m2.transitions)
-    if len(m1.transitions) != len(m2.transitions):
-        return False
-    return all((mapping[a], u, mapping[b]) in t2 for a, u, b in m1.transitions)
-
-
-def _general_iso(m1: Fsm, m2: Fsm, guard: int) -> bool:
-    """Backtracking isomorphism search with output-class pruning."""
-    by_out1 = {}
-    by_out2 = {}
-    for s in m1.states:
-        by_out1.setdefault(m1.output_map[s], []).append(s)
-    for s in m2.states:
-        by_out2.setdefault(m2.output_map[s], []).append(s)
-    if set(by_out1) != set(by_out2):
-        return False
-    for out, grp in by_out1.items():
-        if len(grp) != len(by_out2[out]):
-            return False
-        if len(grp) > guard:
-            raise TooLargeForGeneralIso(
-                f"output class of size {len(grp)} exceeds the backtracking guard {guard}"
-            )
-
-    def degree_key(m, s):
-        return tuple(sorted(_label_key(u) for u, _ in m.successors(s)))
-
-    order = sorted(m1.states, key=lambda s: len(by_out1[m1.output_map[s]]))
-    mapping = {}
-    used = set()
-
-    def feasible(s1, s2):
-        # partial-map consistency: already-mapped successors must be matched
-        for u, d in m1.successors(s1):
-            if d in mapping and not any(
-                u == u2 and mapping[d] == d2 for u2, d2 in m2.successors(s2)
-            ):
-                return False
-        return True
-
-    def candidates(s1):
-        # lazily filtered, so ``used`` and ``mapping`` are read when the
-        # search comes back to this position, not when it first arrives
-        return (
-            s2
-            for s2 in by_out2[m1.output_map[s1]]
-            if s2 not in used
-            and (m1.initial is None or (s1 == m1.initial) == (s2 == m2.initial))
-            and degree_key(m1, s1) == degree_key(m2, s2)
-            and feasible(s1, s2)
-        )
-
-    # depth-first search with an explicit stack of candidate iterators,
-    # one per assigned position of ``order``
-    stack = [candidates(order[0])]
-    while stack:
-        s1 = order[len(stack) - 1]
-        if s1 in mapping:
-            used.discard(mapping.pop(s1))
-        s2 = next(stack[-1], None)
-        if s2 is None:
-            stack.pop()
-            continue
-        mapping[s1] = s2
-        used.add(s2)
-        if len(stack) < len(order):
-            stack.append(candidates(order[len(stack)]))
-        elif _iso_candidate_check(m1, m2, mapping):
-            return True
-    return False
 
 
 def is_isomorphic(m1: Fsm, m2: Fsm, guard: int = 12) -> bool:
     """Decide whether a state bijection preserves initial, outputs and edges.
 
-    One refinement of m1 + m2 settles the common case.  An isomorphism is
-    a bisimulation, so it maps each state into its own block; when each
-    machine's states fall in distinct blocks (both are self-minimal) the
-    R* pairing is the only candidate and is verified directly.  Otherwise
-    a backtracking search with output-class pruning is used, guarded by
-    ``guard`` states per output class.
+    An isomorphism is a bisimulation, so it maps each state into its own
+    block of one refinement of m1 + m2, and every block must hold as many
+    states of m1 as of m2.  A depth-first search runs over such bijections.
+    It assigns the states of m1 fewest choices first and checks, at each
+    step, the moves between the state just assigned and those assigned
+    before, in both machines.  When both machines are self-minimal no
+    block offers a choice and the search makes one pass.  A block of more
+    than ``guard`` states of one machine raises
+    :class:`TooLargeForGeneralIso`.
     """
-    if len(m1.states) != len(m2.states):
+    if len(m1.states) != len(m2.states) or (m1.initial is None) != (m2.initial is None):
         return False
-    if (m1.initial is None) != (m2.initial is None):
-        return False
-
     b1, b2 = _blocks(m1, m2)
-    state_in = {b: s for s, b in b2.items()}
-    if len(state_in) == len(m2.states) == len(set(b1.values())):
-        if any(b not in state_in for b in b1.values()):
-            return False
-        return _iso_candidate_check(m1, m2, {s: state_in[b] for s, b in b1.items()})
+    if sorted(b1.values()) != sorted(b2.values()):
+        return False
+    members = {}
+    for s, b in b2.items():
+        members.setdefault(b, []).append(s)
+    largest = max(map(len, members.values()))
+    if largest > guard:
+        raise TooLargeForGeneralIso(
+            f"block of {largest} states exceeds the backtracking guard {guard}"
+        )
 
-    return _general_iso(m1, m2, guard)
+    def moves_into(m):
+        into = {s: [] for s in m.states}
+        for src, label, dst in m.transitions:
+            into[dst].append((label, src))
+        return into
+
+    into1, into2 = moves_into(m1), moves_into(m2)
+    f, g = {}, {}  # the bijection so far, and its inverse
+
+    def fits(s1, s2):
+        # f maps the moves out of and into s1 that touch the states mapped
+        # so far onto exactly those of s2
+        return (
+            {(u, f[d]) for u, d in m1.successors(s1) if d in f}
+            == {(u, d) for u, d in m2.successors(s2) if d in g}
+            and {(u, f[p]) for u, p in into1[s1] if p in f}
+            == {(u, p) for u, p in into2[s2] if p in g}
+        )
+
+    def candidates(s1):
+        # lazily filtered, so ``g`` is read when the search comes back to
+        # this position, not when it first arrives
+        return (
+            s2
+            for s2 in members[b1[s1]]
+            if s2 not in g and (s1 == m1.initial) == (s2 == m2.initial)
+        )
+
+    # depth-first search with an explicit stack of candidate iterators, one
+    # per assigned position of ``order``
+    order = sorted(m1.states, key=lambda s: len(members[b1[s]]))
+    stack = [candidates(order[0])]
+    while stack:
+        s1 = order[len(stack) - 1]
+        if s1 in f:
+            del g[f.pop(s1)]
+        for s2 in stack[-1]:
+            f[s1], g[s2] = s2, s1
+            if fits(s1, s2):
+                break
+            del f[s1], g[s2]
+        else:
+            stack.pop()
+            continue
+        if len(stack) == len(order):
+            return True
+        stack.append(candidates(order[len(stack)]))
+    return False

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 import time
@@ -81,8 +82,11 @@ def _get_arena(doc: ModelDocument, name: str) -> Arena:
 
 
 def _write(path: str, text: str, report: RunReport):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from exc
     report.outputs.append(path)
 
 
@@ -246,6 +250,8 @@ def _bench_arena(family: str, n: int) -> Arena:
 
 
 def cmd_bench_scaling(args) -> tuple[int, RunReport]:
+    if args.n_max < 1:
+        raise CliError(f"--n-max must be at least 1, got {args.n_max}")
     report = RunReport("bench-scaling")
     rows = []
     for n in range(1, args.n_max + 1):
@@ -264,13 +270,11 @@ def cmd_bench_scaling(args) -> tuple[int, RunReport]:
             }
         )
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(
-                fh, fieldnames=["N", "product_states", "induced_states", "comp_check_ms"]
-            )
-            writer.writeheader()
-            writer.writerows(rows)
-        report.outputs.append(args.csv)
+        text = io.StringIO()
+        writer = csv.DictWriter(text, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+        _write(args.csv, text.getvalue(), report)
     report.statistics["rows"] = len(rows)
     report.statistics["max_product_states"] = rows[-1]["product_states"]
     report.statistics["last_comp_check_ms"] = rows[-1]["comp_check_ms"]

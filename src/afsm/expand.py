@@ -45,7 +45,7 @@ from functools import reduce
 from itertools import product
 from operator import getitem, mul, or_
 
-from .model import Arena, Fsm, ModelError, _fsm, paused_gc, predecessors
+from .model import Arena, Fsm, ModelError, _fsm, _index, paused_gc, predecessors
 
 # A full expansion of E. coli's 55,296-state quotient arena (400,000
 # transitions) raises peak RSS from 15.6 MB to 121.5 MB in a fresh
@@ -220,17 +220,21 @@ class _Expander:
         self.pre = [[] for _ in machines]
         for a, b in arena.edges:
             self.pre[index[b]].append(index[a])
-        self.outputs = []  # per vertex and state: shifted output mask
-        self.moves = []  # per vertex and state: distinct (shifted label mask, dst digit * weight)
-        self.label_bits = []  # per vertex and state: union of its label masks
-        for m, w in zip(machines, self.weights):
-            idx = {s: k for k, s in enumerate(m.states)}
-            moves = [set() for _ in m.states]
-            for src, label, dst in m.transitions:
-                moves[idx[src]].add((_union(bit[x] for x in label), idx[dst] * w))
-            self.outputs.append([_union(bit[x] for x in m.output_map[s]) for s in m.states])
-            self.moves.append([tuple(mv) for mv in moves])
-            self.label_bits.append([_union(u for u, _ in mv) for mv in moves])
+        labels = {}  # shared, so each distinct label gets one mask
+        indexed = [_index(m, labels) for m in machines]
+        mask = [_union(bit[x] for x in label) for label in labels]
+        # per vertex and state: shifted output mask
+        self.outputs = [
+            [_union(bit[x] for x in m.output_map[s]) for s in m.states] for m in machines
+        ]
+        # per vertex and state: (shifted label mask, dst digit * weight),
+        # distinct because the machine's transitions are
+        self.moves = [
+            [tuple([(mask[lab], d * w) for lab, d in mv]) for mv in succ]
+            for succ, w in zip(indexed, self.weights)
+        ]
+        # per vertex and state: union of its label masks
+        self.label_bits = [[_union(u for u, _ in mv) for mv in moves] for moves in self.moves]
         # per vertex and state: strip mask -> stripped, deduplicated moves
         self._stripped = [[{} for _ in m.states] for m in machines]
 

@@ -233,6 +233,21 @@ def _fsm(fsm_id, states, initial, inputs, outputs, output_map, transitions) -> F
     return Fsm(fsm_id, tuple(states), initial, inputs, outputs, output_map, ordered)
 
 
+def _index(m: Fsm, labels: dict, offset: int = 0) -> list:
+    """The moves of ``m`` on integers, the one place states become positions.
+
+    Returns, per position in ``m.states``, the list of its (label id,
+    ``offset`` + target position) moves.  Each label is interned in
+    ``labels``, which maps a label to its id and may be shared between
+    machines, so that their label ids are comparable.
+    """
+    pos = {s: offset + i for i, s in enumerate(m.states)}
+    succ = {s: [] for s in m.states}  # in the order of ``m.states``
+    for src, label, dst in m.transitions:
+        succ[src].append((labels.setdefault(label, len(labels)), pos[dst]))
+    return list(succ.values())
+
+
 @dataclass(frozen=True)
 class Arena:
     """A validated arena: vertices carrying machines, self-loop-free edges."""

@@ -223,6 +223,26 @@ def test_quotient_prunes_unreachable_states_of_initialized_machine():
     assert is_bisimilar(m, q)
 
 
+def test_quotient_names_a_block_after_its_least_reachable_state():
+    # "early" sorts first and is bisimilar to the reachable "s1", but it is
+    # unreachable, so the block is named after s1
+    m = validate_fsm(
+        "m",
+        ["early", "s0", "s1"],
+        ["a"],
+        ["y"],
+        {"early": ["y"], "s0": [], "s1": ["y"]},
+        [("s0", ["a"], "s1"), ("s1", ["a"], "s1"), ("early", ["a"], "s1")],
+        initial="s0",
+    )
+    q = quotient(m)
+    assert q.states == ("s0", "s1")
+    assert q.transitions == (
+        ("s0", frozenset({"a"}), "s1"), ("s1", frozenset({"a"}), "s1"),
+    )
+    assert q.initial == "s0"
+
+
 def test_quotient_keeps_unreachable_states_without_initial():
     m = validate_fsm(
         "m",
@@ -266,6 +286,28 @@ def test_general_iso_guard():
     m = validate_fsm("m", states, [], [], {s: [] for s in states}, [])
     with pytest.raises(TooLargeForGeneralIso):
         is_isomorphic(m, m)
+
+
+def test_is_isomorphic_is_guarded_by_block_size_not_output_class():
+    # two disjoint 7-state chains, no initial state: every state outputs
+    # nothing and is told apart only by its distance to the deadlocked
+    # end, so one output class of 14 states has blocks of 2
+    states = [f"{c}{i}" for c in "cd" for i in range(7)]
+    m = validate_fsm(
+        "m", states, ["a"], [], {s: [] for s in states},
+        [(f"{c}{i}", ["a"], f"{c}{i + 1}") for c in "cd" for i in range(6)],
+    )
+    assert {len(b) for b in self_partition(m)} == {2}
+    assert is_isomorphic(m, renamed_copy(random.Random(2012), m, "r"))
+    # a 14-state chain: as many states, all in one output class, but not
+    # bisimilar to m
+    states = [f"e{i}" for i in range(14)]
+    long_chain = validate_fsm(
+        "l", states, ["a"], [], {s: [] for s in states},
+        [(f"e{i}", ["a"], f"e{i + 1}") for i in range(13)],
+    )
+    assert not is_isomorphic(m, long_chain)
+    assert not is_isomorphic(long_chain, m)
 
 
 def test_general_iso_is_not_limited_by_the_recursion_depth():
@@ -313,6 +355,29 @@ def test_is_isomorphic_on_minimal_but_inaccessible_machines():
             assert is_isomorphic(m1, m2) == _brute_force_isomorphic(m1, m2)
 
 
+def test_is_isomorphic_agrees_with_brute_force_when_blocks_offer_choices():
+    # few outputs and labels, so bisimilar states are common and the search
+    # has choices; partners are near-misses of renamed copies
+    rng = random.Random(2013)
+    answers = set()
+    for _ in range(150):
+        m = random_fsm(rng, "m", max_states=6, max_inputs=1, max_outputs=1,
+                       max_trans=rng.choice([4, 8, 12]), with_initial=rng.random() < 0.5)
+        r = renamed_copy(rng, m, "r")
+        moved = list(r.transitions)
+        if moved:
+            a, u, b = moved.pop(rng.randrange(len(moved)))
+            moved.append((a if rng.random() < 0.5 else rng.choice(r.states), u,
+                          b if rng.random() < 0.5 else rng.choice(r.states)))
+        near = validate_fsm("n", r.states, r.inputs, r.outputs, r.output_map, moved,
+                            initial=None if r.initial is None else rng.choice(r.states))
+        for partner in (r, near):
+            verdict = is_isomorphic(m, partner)
+            assert verdict == _brute_force_isomorphic(m, partner)
+            answers.add((verdict, partner is r))
+    assert answers == {(True, True), (True, False), (False, False)}
+
+
 def test_each_question_is_one_refinement(monkeypatch):
     calls = []
     refine = bisim._refine
@@ -331,6 +396,22 @@ def test_each_question_is_one_refinement(monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         assert run(["check-bisim", str(fixture_path("euclid.afsm")), "M1", "M1"]) == 0
     assert len(calls) == 1
+
+    # quotient restricts to the reachable states on integers and builds
+    # one machine, the result
+    calls.clear()
+    built = []
+    fsm = bisim._fsm
+    monkeypatch.setattr(bisim, "_fsm", lambda *a: built.append(1) or fsm(*a))
+    m = validate_fsm(
+        "m", ["s0", "s1", "s2", "island"], ["a"], ["y"],
+        {"s0": [], "s1": ["y"], "s2": ["y"], "island": []},
+        [("s0", ["a"], "s1"), ("s0", ["a"], "s2"), ("island", ["a"], "s0")],
+        initial="s0",
+    )
+    assert quotient(m).states == ("s0", "s1")
+    assert len(calls) == 1
+    assert len(built) == 1
 
 
 def test_check_comp_bisim_computes_the_classes_once(monkeypatch):

@@ -231,6 +231,29 @@ def test_bench_scaling_csv(tmp_path):
         assert int(row["induced_states"]) == n
 
 
+def test_bench_scaling_needs_at_least_one_row():
+    code, out, err = invoke("bench-scaling", "--n-max", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--n-max" in err
+
+
+def test_bench_scaling_unwritable_csv_is_an_io_error(tmp_path):
+    csv_path = tmp_path / "missing" / "bench.csv"
+    code, out, err = invoke("bench-scaling", "--n-max", "2", "--csv", str(csv_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write") and "bench.csv" in err
+
+
+def test_unwritable_output_is_an_io_error(tmp_path):
+    out_path = tmp_path / "missing" / "x.afsm"
+    code, out, err = invoke("minimize", EUCLID, "M1", "-o", str(out_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write") and "x.afsm" in err
+
+
 def test_stats():
     code, out, _ = invoke("stats", ECOLI)
     assert code == 0

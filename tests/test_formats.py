@@ -17,7 +17,6 @@ from afsm import (
     serialize,
     validate_fsm,
 )
-from afsm.bisim import _accessible_part
 from afsm.formats import (
     DuplicateName,
     FormatError,
@@ -199,7 +198,7 @@ def test_every_machine_the_library_builds_is_a_parse_fixpoint(arena):
     modes = ("full", "accessible") if arena.vertices[0][1].initial is not None else ("full",)
     for mode in modes:
         flat = expand(arena, mode=mode).fsm
-        built += [flat, quotient(flat), _accessible_part(flat)]
+        built += [flat, quotient(flat)]
     try:
         built.append(reduce(arena)[0])
     except QuotientSelfLoop:

@@ -172,32 +172,46 @@ def test_successors_of_a_replaced_machine_are_its_own():
     assert bare == dataclasses.replace(make_m1(), transitions=())
 
 
-def fsm_constructor_calls(tree):
-    """(enclosing function, line) of every call to ``Fsm`` in a module."""
-    calls = []
+def calls_in_package(matches):
+    """File name -> enclosing function of every call in ``src/afsm/`` that ``matches``."""
+    found = {}
 
-    def visit(node, where):
+    def visit(node, where, calls):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call):
-                func = child.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name == "Fsm":
-                    calls.append((where, child.lineno))
+            if isinstance(child, ast.Call) and matches(child):
+                calls.append(where)
             inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
-            visit(child, inner)
+            visit(child, inner, calls)
 
-    visit(tree, None)
-    return calls
+    for path in sorted(Path(model.__file__).parent.glob("*.py")):
+        calls = []
+        visit(ast.parse(path.read_text(encoding="utf-8")), None, calls)
+        if calls:
+            found[path.name] = calls
+    return found
 
 
 def test_only_the_trusted_constructor_builds_machines():
     # every Fsm is built by model._fsm, which owns the canonical order
-    found = {}
-    for path in sorted(Path(model.__file__).parent.glob("*.py")):
-        calls = fsm_constructor_calls(ast.parse(path.read_text(encoding="utf-8")))
-        if calls:
-            found[path.name] = [where for where, _ in calls]
-    assert found == {"model.py": ["_fsm"]}
+    def builds_fsm(call):
+        func = call.func
+        return (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "Fsm"
+
+    assert calls_in_package(builds_fsm) == {"model.py": ["_fsm"]}
+
+
+def test_only_the_indexer_numbers_states():
+    # model._index is the one place a machine's states become positions
+    def enumerates_states(call):
+        return (
+            isinstance(call.func, ast.Name)
+            and call.func.id == "enumerate"
+            and bool(call.args)
+            and isinstance(call.args[0], ast.Attribute)
+            and call.args[0].attr == "states"
+        )
+
+    assert calls_in_package(enumerates_states) == {"model.py": ["_index"]}
 
 
 def test_validate_arena_and_predecessors():
