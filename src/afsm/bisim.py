@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from .model import Fsm, _fsm, _index, paused_gc
 
+_ISO_GUARD = 12
+
 
 class BisimError(ValueError):
     pass
@@ -347,7 +349,7 @@ def quotient(m: Fsm) -> Fsm:
     return _fsm(m.id, out_map, initial, m.inputs, m.outputs, out_map, trans)
 
 
-def is_isomorphic(m1: Fsm, m2: Fsm, guard: int = 12) -> bool:
+def is_isomorphic(m1: Fsm, m2: Fsm) -> bool:
     """Decide whether a state bijection preserves initial, outputs and edges.
 
     An isomorphism is a bisimulation, so it maps each state into its own
@@ -357,7 +359,7 @@ def is_isomorphic(m1: Fsm, m2: Fsm, guard: int = 12) -> bool:
     step, the moves between the state just assigned and those assigned
     before, in both machines.  When both machines are self-minimal no
     block offers a choice and the search makes one pass.  A block of more
-    than ``guard`` states of one machine raises
+    than ``_ISO_GUARD`` states of one machine raises
     :class:`TooLargeForGeneralIso`.
     """
     if len(m1.states) != len(m2.states) or (m1.initial is None) != (m2.initial is None):
@@ -369,9 +371,9 @@ def is_isomorphic(m1: Fsm, m2: Fsm, guard: int = 12) -> bool:
     for s, b in b2.items():
         members.setdefault(b, []).append(s)
     largest = max(map(len, members.values()))
-    if largest > guard:
+    if largest > _ISO_GUARD:
         raise TooLargeForGeneralIso(
-            f"block of {largest} states exceeds the backtracking guard {guard}"
+            f"block of {largest} states exceeds the backtracking guard {_ISO_GUARD}"
         )
 
     def moves_into(m):

@@ -12,7 +12,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .model import Arena, Fsm, ModelError, validate_arena, validate_fsm
 from .bisim import BisimError, _blocks, _pairs, _verdict, naive_bisim_oracle, quotient
@@ -33,20 +33,12 @@ class RunReport:
     verdict: bool | None = None
     statistics: dict = field(default_factory=dict)
     outputs: list = field(default_factory=list)
-
-    def to_dict(self):
-        return {
-            "command": self.command,
-            "inputs": self.inputs,
-            "verdict": self.verdict,
-            "statistics": self.statistics,
-            "outputs": self.outputs,
-        }
+    listing: list = field(default_factory=list)  # lines that precede the report in text
 
     def render(self, as_json: bool) -> str:
         if as_json:
-            return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-        lines = [f"command: {self.command}"]
+            return json.dumps(asdict(self), indent=2, sort_keys=True)
+        lines = self.listing + [f"command: {self.command}"]
         if self.verdict is not None:
             lines.append(f"verdict: {'yes' if self.verdict else 'no'}")
         for k in sorted(self.statistics):
@@ -113,8 +105,7 @@ def cmd_check_bisim(args) -> tuple[int, RunReport]:
     report.statistics["blocks"] = len(set(b1.values()) | set(b2.values()))
     report.statistics["elapsed_ms"] = round((time.perf_counter() - t0) * 1000, 3)
     if args.witness:
-        for a, b in sorted(rel):
-            print(f"  {a} ~ {b}")
+        report.listing += [f"  {a} ~ {b}" for a, b in sorted(rel)]
     return (0 if verdict else 1), report
 
 
@@ -129,8 +120,8 @@ def cmd_expand(args) -> tuple[int, RunReport]:
     except GuardExceeded as exc:
         what = "states seen" if args.accessible else "analytic state count"
         raise CliError(f"{exc} ({what}: {exc.count})") from exc
-    report.statistics["states"] = len(comp.states)
-    report.statistics["transitions"] = len(comp.transitions)
+    report.statistics["states"] = len(comp.fsm.states)
+    report.statistics["transitions"] = len(comp.fsm.transitions)
     report.statistics["elapsed_ms"] = round((time.perf_counter() - t0) * 1000, 3)
     if args.output:
         _write_fsm(args.output, comp.fsm, report)
@@ -171,9 +162,8 @@ def cmd_check_comp_bisim(args) -> tuple[int, RunReport]:
     if args.witness:
         for k, block in enumerate(classes.classes):
             members = ", ".join(f"{'AB'[t]}:{v}" for t, v in sorted(block))
-            print(f"  class {classes.token(k)}: {members}")
-        for v1, v2 in sorted(_pairs(b1, b2)):
-            print(f"  {v1} ~ {v2}")
+            report.listing.append(f"  class {classes.token(k)}: {members}")
+        report.listing += [f"  {v1} ~ {v2}" for v1, v2 in sorted(_pairs(b1, b2))]
     return (0 if verdict else 1), report
 
 
@@ -199,7 +189,7 @@ def cmd_classes(args) -> tuple[int, RunReport]:
     report.statistics["vertices"] = len(arena.vertices)
     for k, block in enumerate(classes.classes):
         members = ", ".join(v for _, v in sorted(block))
-        print(f"  class {classes.token(k)}: {members}")
+        report.listing.append(f"  class {classes.token(k)}: {members}")
     return 0, report
 
 
@@ -216,7 +206,7 @@ def cmd_export_dot(args) -> tuple[int, RunReport]:
     if args.output:
         _write(args.output, text, report)
     else:
-        print(text, end="")
+        report.listing = text.splitlines()
     return 0, report
 
 

@@ -95,25 +95,8 @@ class CompositeFsm:
     """
 
     fsm: Fsm
-    arena_id: str
     vertex_order: tuple
     parts: dict  # state id -> tuple of component state ids
-
-    @property
-    def states(self):
-        return self.fsm.states
-
-    @property
-    def transitions(self):
-        return self.fsm.transitions
-
-    @property
-    def initial(self):
-        return self.fsm.initial
-
-    @property
-    def output_map(self):
-        return self.fsm.output_map
 
 
 def state_count(arena: Arena) -> int:
@@ -392,7 +375,7 @@ class _Expander:
         outputs = frozenset().union(*(m.outputs for m in machines))
         fsm = _fsm(f"M_{arena.id}", names, initial, inputs, outputs, out_map, transitions)
         return CompositeFsm(
-            fsm=fsm, arena_id=arena.id, vertex_order=self.order, parts=dict(zip(names, parts))
+            fsm=fsm, vertex_order=self.order, parts=dict(zip(names, parts))
         )
 
 

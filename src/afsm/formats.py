@@ -30,7 +30,8 @@ from .model import (
     Fsm,
     MissingState,
     ModelError,
-    TOKEN_RE,
+    _token,
+    symbol_set,
     validate_arena,
     validate_fsm,
 )
@@ -71,24 +72,20 @@ class ModelDocument:
         return self.fsms == other.fsms and self.arenas == other.arenas
 
 
-def _parse_set(tok: str, line_no: int) -> list:
+def _at(line_no: int, check, *args):
+    """``check(*args)``, with a model error reported at ``line_no``."""
+    try:
+        return check(*args)
+    except ModelError as exc:
+        raise FormatError(str(exc), line_no) from exc
+
+
+def _parse_set(tok: str, line_no: int) -> frozenset:
     m = _SET_RE.match(tok)
     if not m:
         raise FormatError(f"expected a symbol set like {{a,b}}, got {tok!r}", line_no)
     body = m.group(1).strip()
-    if not body:
-        return []
-    parts = [p.strip() for p in body.split(",")]
-    for p in parts:
-        if not TOKEN_RE.match(p):
-            raise FormatError(f"invalid symbol {p!r}", line_no)
-    return parts
-
-
-def _require_token(tok: str, what: str, line_no: int) -> str:
-    if not TOKEN_RE.match(tok):
-        raise FormatError(f"invalid {what} {tok!r}", line_no)
-    return tok
+    return _at(line_no, symbol_set, [p.strip() for p in body.split(",")] if body else [])
 
 
 def parse(text: str, source: str | None = None) -> ModelDocument:
@@ -97,10 +94,10 @@ def parse(text: str, source: str | None = None) -> ModelDocument:
     block = None  # None | ("fsm", name, acc) | ("arena", name, acc)
     sets = {}  # set text -> its symbols, so each distinct text is checked once
 
-    def symbols(tok: str, line_no: int) -> tuple:
+    def symbols(tok: str, line_no: int) -> frozenset:
         parsed = sets.get(tok)
         if parsed is None:
-            parsed = sets[tok] = tuple(_parse_set(tok, line_no))
+            parsed = sets[tok] = _parse_set(tok, line_no)
         return parsed
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -116,7 +113,7 @@ def parse(text: str, source: str | None = None) -> ModelDocument:
                 raise FormatError(f"'{kw}' inside an open block; missing 'end'?", line_no)
             if len(toks) != 2:
                 raise FormatError(f"'{kw}' takes exactly one name", line_no)
-            name = _require_token(toks[1], f"{kw} name", line_no)
+            name = _at(line_no, _token, f"{kw} name", toks[1])
             if name in doc.fsms or name in doc.arenas:
                 raise DuplicateName(f"duplicate definition of {name!r}", line_no)
             if kw == "fsm":
@@ -168,7 +165,7 @@ def parse(text: str, source: str | None = None) -> ModelDocument:
             elif kw == "state":
                 if len(toks) != 3:
                     raise FormatError("'state' takes an id and an output set", line_no)
-                sid = _require_token(toks[1], "state id", line_no)
+                sid = _at(line_no, _token, "state id", toks[1])
                 if sid in acc["states"]:
                     raise DuplicateName(f"duplicate state {sid!r}", line_no)
                 acc["states"][sid] = symbols(toks[2], line_no)
@@ -177,31 +174,30 @@ def parse(text: str, source: str | None = None) -> ModelDocument:
                     raise FormatError("'initial' takes one state id", line_no)
                 if acc["initial"] is not None:
                     raise FormatError("at most one 'initial' directive is allowed", line_no)
-                acc["initial"] = _require_token(toks[1], "state id", line_no)
+                acc["initial"] = _at(line_no, _token, "state id", toks[1])
             elif kw == "trans":
                 if len(toks) != 4:
                     raise FormatError("'trans' takes source, label set, target", line_no)
-                src = _require_token(toks[1], "state id", line_no)
-                dst = _require_token(toks[3], "state id", line_no)
-                if src not in acc["states"]:
+                _, src, label, dst = toks
+                # a declared state is a valid token, so only a miss is checked
+                if src not in acc["states"] or dst not in acc["states"]:
+                    _at(line_no, _token, "state id", src)
+                    _at(line_no, _token, "state id", dst)
+                    side, sid = ("source", src) if src not in acc["states"] else ("target", dst)
                     raise MissingStateAtLine(
-                        f"transition source {src!r} is not a declared state", line_no
+                        f"transition {side} {sid!r} is not a declared state", line_no
                     )
-                if dst not in acc["states"]:
-                    raise MissingStateAtLine(
-                        f"transition target {dst!r} is not a declared state", line_no
-                    )
-                acc["trans"].append((src, symbols(toks[2], line_no), dst))
+                acc["trans"].append((src, symbols(label, line_no), dst))
             else:
                 raise FormatError(f"unknown directive {kw!r} in fsm block", line_no)
         else:
             if kw == "node":
                 if len(toks) != 3:
                     raise FormatError("'node' takes a vertex id and a machine name", line_no)
-                vid = _require_token(toks[1], "vertex id", line_no)
+                vid = _at(line_no, _token, "vertex id", toks[1])
                 if vid in acc["nodes"]:
                     raise DuplicateName(f"duplicate vertex {vid!r}", line_no)
-                fsm_name = _require_token(toks[2], "machine name", line_no)
+                fsm_name = _at(line_no, _token, "machine name", toks[2])
                 # blocks do not nest, so every machine an arena can use is
                 # already defined when its node line is read
                 if fsm_name not in doc.fsms:
@@ -212,12 +208,7 @@ def parse(text: str, source: str | None = None) -> ModelDocument:
             elif kw == "edge":
                 if len(toks) != 3:
                     raise FormatError("'edge' takes two vertex ids", line_no)
-                acc["edges"].append(
-                    (
-                        _require_token(toks[1], "vertex id", line_no),
-                        _require_token(toks[2], "vertex id", line_no),
-                    )
-                )
+                acc["edges"].append(tuple(_at(line_no, _token, "vertex id", v) for v in toks[1:]))
             else:
                 raise FormatError(f"unknown directive {kw!r} in arena block", line_no)
 

@@ -68,22 +68,21 @@ class UnknownVertex(ModelError):
     pass
 
 
+def _token(kind: str, name: str, error=ModelError) -> str:
+    """Validate and intern one token; the only reader of ``TOKEN_RE``."""
+    if not isinstance(name, str) or not TOKEN_RE.match(name):
+        raise error(f"invalid {kind} token: {name!r}")
+    return sys.intern(name)
+
+
 def symbol(name: str) -> str:
     """Validate and intern a single symbol token."""
-    if not isinstance(name, str) or not TOKEN_RE.match(name):
-        raise BadSymbol(f"invalid symbol token: {name!r}")
-    return sys.intern(name)
+    return _token("symbol", name, BadSymbol)
 
 
 def symbol_set(names: Iterable[str]) -> SymbolSet:
     """Validate and intern a set of symbol tokens."""
     return frozenset(symbol(n) for n in names)
-
-
-def _token(kind: str, name: str) -> str:
-    if not isinstance(name, str) or not TOKEN_RE.match(name):
-        raise ModelError(f"invalid {kind} token: {name!r}")
-    return sys.intern(name)
 
 
 def _label_key(label: SymbolSet) -> tuple:
@@ -119,10 +118,21 @@ class Fsm:
         return self._succ[state]
 
     def renamed(self, new_id: str, mapping: Mapping[str, str]) -> "Fsm":
-        """Copy of this machine with states renamed through ``mapping``."""
+        """Copy of this machine with states renamed through ``mapping``.
+
+        Two states mapped to one name raise :class:`ModelError`.
+        """
+        source = {}  # new name -> the state renamed to it
+        for s in self.states:
+            new = _token("state id", mapping[s])
+            other = source.setdefault(new, s)
+            if other != s:
+                raise ModelError(
+                    f"fsm {self.id}: renaming maps states {other!r} and {s!r} to {new!r}"
+                )
         return validate_fsm(
             new_id,
-            [mapping[s] for s in self.states],
+            source,
             self.inputs,
             self.outputs,
             {mapping[s]: out for s, out in self.output_map.items()},
@@ -153,39 +163,47 @@ def validate_fsm(
 
     inp = symbol_set(inputs)
     out = symbol_set(outputs)
-    checked = {}
 
-    def checked_set(names) -> SymbolSet:
-        # each distinct set is validated and interned once per call
-        key = names if isinstance(names, (frozenset, tuple)) else tuple(names)
-        try:
-            value = checked.get(key)
-        except TypeError:  # an unhashable member, which symbol() rejects
-            return symbol_set(key)
-        if value is None:
-            value = checked[key] = symbol_set(key)
-        return value
+    def within(alphabet, where):
+        # each distinct set is validated, interned and checked against
+        # ``alphabet`` once per call
+        seen = {}
+
+        def check(names, state) -> SymbolSet:
+            key = names if isinstance(names, frozenset) else tuple(names)
+            try:
+                value = seen.get(key)
+            except TypeError:  # an unhashable member, which symbol() rejects
+                return symbol_set(key)
+            if value is None:
+                value = symbol_set(key)
+                extra = value - alphabet
+                if extra:
+                    raise AlphabetViolation(
+                        f"fsm {fsm_id}: {where} {state!r} uses undeclared symbols {sorted(extra)}"
+                    )
+                seen[key] = value
+            return value
+
+        return check
 
     if initial is not None:
         initial = _token("state id", initial)
         if initial not in declared:
             raise BadInitial(f"fsm {fsm_id}: initial state {initial!r} is not declared")
 
+    output_of = within(out, "output of state")
     omap = {}
     for s in state_list:
         if s not in output_map:
             raise MissingState(f"fsm {fsm_id}: no output set declared for state {s!r}")
-        value = checked_set(output_map[s])
-        extra = value - out
-        if extra:
-            raise AlphabetViolation(
-                f"fsm {fsm_id}: output of state {s!r} uses undeclared symbols {sorted(extra)}"
-            )
-        omap[s] = value
+        omap[s] = output_of(output_map[s], s)
     for s in output_map:
-        if _token("state id", s) not in declared:
+        if s not in declared:
+            _token("state id", s)
             raise MissingState(f"fsm {fsm_id}: output map mentions unknown state {s!r}")
 
+    label_of = within(inp, "transition label of")
     trans = []
     for src, label, dst in transitions:
         try:
@@ -197,13 +215,7 @@ def validate_fsm(
                 raise MissingState(f"fsm {fsm_id}: transition source {src!r} is not declared")
             if dst not in declared:
                 raise MissingState(f"fsm {fsm_id}: transition target {dst!r} is not declared")
-        label = checked_set(label)
-        extra = label - inp
-        if extra:
-            raise AlphabetViolation(
-                f"fsm {fsm_id}: transition label of {src!r} uses undeclared symbols {sorted(extra)}"
-            )
-        trans.append((src, label, dst))
+        trans.append((src, label_of(label, src), dst))
 
     return _fsm(fsm_id, state_list, initial, inp, out, omap, trans)
 

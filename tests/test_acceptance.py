@@ -49,16 +49,16 @@ def test_criterion_1_euclid_expansion():
     comp = expand(load_fixture("euclid.afsm").arenas["euclid"], mode="accessible")
     elapsed = time.perf_counter() - t0
     exact = (
-        set(comp.states) == {"1.3.5", "2.4.6", "1.3.7"}
-        and set(comp.transitions)
+        set(comp.fsm.states) == {"1.3.5", "2.4.6", "1.3.7"}
+        and set(comp.fsm.transitions)
         == {
             ("1.3.5", frozenset({"z1", "z2"}), "2.4.6"),
             ("2.4.6", frozenset(), "1.3.7"),
             ("1.3.7", frozenset({"z1", "z2"}), "2.4.6"),
         }
-        and comp.output_map["1.3.5"] == frozenset()
-        and comp.output_map["2.4.6"] == frozenset({"z1sq", "z2sq"})
-        and comp.output_map["1.3.7"] == frozenset({"norm_z"})
+        and comp.fsm.output_map["1.3.5"] == frozenset()
+        and comp.fsm.output_map["2.4.6"] == frozenset({"z1sq", "z2sq"})
+        and comp.fsm.output_map["1.3.7"] == frozenset({"norm_z"})
     )
     record(
         1,
@@ -108,7 +108,7 @@ def test_criterion_3_transcription_network_pipeline():
     elapsed = time.perf_counter() - t0
     classes_ok = got_classes == expected_classes
     quot_ok = len(a_min.vertices) == 9
-    exp_ok = len(composite.states) == 55296
+    exp_ok = len(composite.fsm.states) == 55296
     induced_ok = induced == 17
     identity_ok = len(minimal.states) == 55296
     record(

@@ -2,6 +2,9 @@ import contextlib
 import csv
 import io
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -200,6 +203,39 @@ def test_classes_lists_members():
     assert code == 0
     assert "classes: 9" in out
     assert "vertices: 17" in out
+
+
+@pytest.mark.parametrize(
+    "argv, listed",
+    [
+        (("check-bisim", ECOLI, "CRP", "CRP", "--witness"), "  1 ~ 1"),
+        (("check-comp-bisim", ECOLI, "ecoli", ECOLI, "ecoli", "--witness"), "  LacA ~ LacY"),
+        (("classes", ECOLI, "ecoli"), "  class C0: AraA, AraB, AraD"),
+        (("export-dot", ECOLI, "ecoli"), 'digraph "ecoli" {'),
+    ],
+)
+def test_json_is_one_document_that_carries_the_listing(argv, listed):
+    code, text, _ = invoke(*argv)
+    assert code == 0
+    lines = text.splitlines()
+    assert listed in lines
+    code, out, _ = invoke(*argv, "--json")
+    assert code == 0
+    report = json.loads(out)
+    # the text report is the listing, then the report lines
+    assert report["listing"] == lines[: lines.index(f"command: {report['command']}")]
+
+
+def test_the_readme_usage_block_runs(tmp_path, monkeypatch):
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    block = re.search(r"```sh\n(# where the bundled.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    commands = [shlex.split(line) for line in block.group(1).splitlines() if line.startswith("afsm ")]
+    assert commands
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        argv = [EUCLID if a == "$FIX" else a for a in argv[1:]]
+        code, _, err = invoke(*argv)
+        assert code in (0, 1), (argv, err)
 
 
 def test_export_dot_stdout_and_file(tmp_path):

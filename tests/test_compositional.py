@@ -255,8 +255,8 @@ def test_reduce_matches_the_full_expansion(arena):
     full = expand(a_min, mode="full")
     minimal, report = reduce(arena)
     assert serialize_fsm(minimal) == serialize_fsm(quotient(full.fsm))
-    assert report["expanded_states"] == len(full.states)
-    assert report["expanded_transitions"] == len(full.transitions)
+    assert report["expanded_states"] == len(full.fsm.states)
+    assert report["expanded_transitions"] == len(full.fsm.transitions)
     assert report["final_states"] == len(minimal.states)
     assert report["final_transitions"] == len(minimal.transitions)
 
@@ -295,7 +295,7 @@ def test_reduce_counts_the_transitions_of_unreached_states():
     )
     arena = validate_arena("pq", {"v": p, "w": q}, [])
     full = expand(arena, mode="full")
-    assert len(full.transitions) == 5
+    assert len(full.fsm.transitions) == 5
     _, report = reduce(arena)
     assert report["expanded_states"] == 3
     assert report["expanded_transitions"] == 5

@@ -34,16 +34,16 @@ def euclid_arena():
 
 def test_accessible_expansion_of_euclid_is_exact():
     comp = expand(euclid_arena(), mode="accessible")
-    assert comp.initial == "1.3.5"
-    assert set(comp.states) == {"1.3.5", "2.4.6", "1.3.7"}
-    assert set(comp.transitions) == {
+    assert comp.fsm.initial == "1.3.5"
+    assert set(comp.fsm.states) == {"1.3.5", "2.4.6", "1.3.7"}
+    assert set(comp.fsm.transitions) == {
         ("1.3.5", frozenset({"z1", "z2"}), "2.4.6"),
         ("2.4.6", frozenset(), "1.3.7"),
         ("1.3.7", frozenset({"z1", "z2"}), "2.4.6"),
     }
-    assert comp.output_map["1.3.5"] == frozenset()
-    assert comp.output_map["2.4.6"] == frozenset({"z1sq", "z2sq"})
-    assert comp.output_map["1.3.7"] == frozenset({"norm_z"})
+    assert comp.fsm.output_map["1.3.5"] == frozenset()
+    assert comp.fsm.output_map["2.4.6"] == frozenset({"z1sq", "z2sq"})
+    assert comp.fsm.output_map["1.3.7"] == frozenset({"norm_z"})
 
 
 def test_composite_successors_strips_predecessor_outputs():
@@ -62,10 +62,10 @@ def test_full_mode_enumerates_whole_product():
     arena = euclid_arena()
     comp = expand(arena, mode="full")
     assert state_count(arena) == 2 * 2 * 3
-    assert len(comp.states) == 12
+    assert len(comp.fsm.states) == 12
     acc = expand(arena, mode="accessible")
-    assert set(acc.states) <= set(comp.states)
-    assert set(acc.transitions) <= set(comp.transitions)
+    assert set(acc.fsm.states) <= set(comp.fsm.states)
+    assert set(acc.fsm.transitions) <= set(comp.fsm.transitions)
 
 
 def test_expansion_is_deterministic():
@@ -80,9 +80,9 @@ def test_single_vertex_arena_expansion_is_the_machine_itself():
     arena = validate_arena("solo", {"v": m1}, [])
     comp = expand(arena, mode="full")
     # 1-tuple wrapping only: same states, labels and outputs
-    assert set(comp.states) == set(m1.states)
-    assert set(comp.transitions) == set(m1.transitions)
-    assert comp.initial == m1.initial
+    assert set(comp.fsm.states) == set(m1.states)
+    assert set(comp.fsm.transitions) == set(m1.transitions)
+    assert comp.fsm.initial == m1.initial
 
 
 def test_deadlock_states_have_no_outgoing_transitions():
@@ -95,7 +95,7 @@ def test_deadlock_states_have_no_outgoing_transitions():
     )
     arena = validate_arena("d", {"v": dead, "w": live}, [])
     comp = expand(arena, mode="full")
-    blocked = [s for s in comp.states if comp.parts[s][0] == "stuck"]
+    blocked = [s for s in comp.fsm.states if comp.parts[s][0] == "stuck"]
     assert blocked
     for s in blocked:
         assert not comp.fsm.successors(s)
@@ -110,13 +110,13 @@ def test_label_union_merges_duplicate_composite_transitions():
     )
     arena = validate_arena("two", {"v1": q, "v2": q}, [])
     comp = expand(arena, mode="full")
-    labels = {u for _, u, _ in comp.transitions}
+    labels = {u for _, u, _ in comp.fsm.transitions}
     assert labels == {
         frozenset({"a"}),
         frozenset({"b"}),
         frozenset({"a", "b"}),
     }
-    assert len(comp.transitions) == 3
+    assert len(comp.fsm.transitions) == 3
 
 
 def test_composite_labels_stay_within_input_alphabet_union():
@@ -127,7 +127,7 @@ def test_composite_labels_stay_within_input_alphabet_union():
         for _, fsm in arena.vertices:
             alphabet |= fsm.inputs
         comp = expand(arena, mode="full", max_states=10**5)
-        for _, u, _ in comp.transitions:
+        for _, u, _ in comp.fsm.transitions:
             assert set(u) <= alphabet
 
 
@@ -136,7 +136,7 @@ def test_full_state_count_matches_analytic_value():
     for _ in range(15):
         arena = random_arena(rng)
         comp = expand(arena, mode="full", max_states=10**5)
-        assert len(comp.states) == state_count(arena)
+        assert len(comp.fsm.states) == state_count(arena)
         assert set(comp.parts.values()) == set(
             itertools.product(*[fsm.states for _, fsm in arena.vertices])
         )
@@ -163,7 +163,7 @@ def test_the_accessible_guard_counts_the_initial_state():
         with pytest.raises(GuardExceeded) as exc:
             expand(arena, mode=mode, max_states=0)
         assert exc.value.count == 1
-        assert len(expand(arena, mode=mode, max_states=1).states) == 1
+        assert len(expand(arena, mode=mode, max_states=1).fsm.states) == 1
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -201,12 +201,12 @@ def test_composite_names_are_injective_on_dotted_state_ids():
         [],
     )
     comp = expand(arena, mode="full")
-    assert len(comp.states) == len(comp.parts) == 4
+    assert len(comp.fsm.states) == len(comp.parts) == 4
     assert set(comp.parts.values()) == set(
         itertools.product(["a", "a.b"], ["c", "b.c"])
     )
-    assert comp.parts[comp.initial] == ("a", "c")
-    for src, _, dst in comp.transitions:
+    assert comp.parts[comp.fsm.initial] == ("a", "c")
+    for src, _, dst in comp.fsm.transitions:
         a, c = comp.parts[src]
         assert comp.parts[dst] == (
             "a.b" if a == "a" else "a", "b.c" if c == "c" else "c"
@@ -218,7 +218,7 @@ def test_accessible_mode_requires_initial_states():
     arena = validate_arena("a", {"v": m}, [])
     with pytest.raises(NoInitialState):
         expand(arena, mode="accessible")
-    assert len(expand(arena, mode="full").states) == 1
+    assert len(expand(arena, mode="full").fsm.states) == 1
 
 
 def test_composite_successors_errors():
@@ -241,7 +241,7 @@ def test_accessible_equals_reachable_part_of_full():
         full = expand(arena, mode="full", max_states=10**5)
         acc = expand(arena, mode="accessible", max_states=10**5)
         # both carry the initial composite and are bisimilar from it
-        assert acc.initial == full.initial
+        assert acc.fsm.initial == full.fsm.initial
         assert is_bisimilar(acc.fsm, full.fsm)
 
 
@@ -274,10 +274,10 @@ def test_expansion_matches_the_reference_semantics(arena):
 
         # parts inverts the names, and the names are the composite names
         name = {p: s for s, p in comp.parts.items()}
-        assert set(comp.parts) == set(comp.states)
-        assert set(name) == states and len(name) == len(comp.states)
+        assert set(comp.parts) == set(comp.fsm.states)
+        assert set(name) == states and len(name) == len(comp.fsm.states)
         assert all(s == composite_name(p) for s, p in comp.parts.items())
-        assert comp.initial == (None if None in initial else name[initial])
+        assert comp.fsm.initial == (None if None in initial else name[initial])
         assert comp.vertex_order == arena.vertex_ids
 
         expected = {
@@ -285,17 +285,17 @@ def test_expansion_matches_the_reference_semantics(arena):
             for p in states
             for label, q in composite_successors(arena, p)
         }
-        assert set(comp.transitions) == expected
-        assert len(comp.transitions) == len(expected)
-        assert comp.output_map == {
+        assert set(comp.fsm.transitions) == expected
+        assert len(comp.fsm.transitions) == len(expected)
+        assert comp.fsm.output_map == {
             name[p]: frozenset().union(*(m.output_map[s] for m, s in zip(machines, p)))
             for p in states
         }
 
         # canonical order
-        assert list(comp.states) == sorted(comp.states)
-        assert list(comp.transitions) == sorted(
-            comp.transitions, key=lambda t: (t[0], _label_key(t[1]), t[2])
+        assert list(comp.fsm.states) == sorted(comp.fsm.states)
+        assert list(comp.fsm.transitions) == sorted(
+            comp.fsm.transitions, key=lambda t: (t[0], _label_key(t[1]), t[2])
         )
         assert comp.fsm.inputs == frozenset().union(*(m.inputs for m in machines))
         assert comp.fsm.outputs == frozenset().union(*(m.outputs for m in machines))
@@ -314,7 +314,8 @@ def machine(fid, moves, outputs=None):
 
 def assert_counts_the_full_expansion(arena):
     # no successors found beforehand, so every transition is counted
-    assert _Expander(arena).count_transitions([], []) == len(expand(arena, mode="full").transitions)
+    full = expand(arena, mode="full").fsm
+    assert _Expander(arena).count_transitions([], []) == len(full.transitions)
 
 
 def test_count_keeps_a_vertex_whose_predecessor_comes_later():
@@ -370,7 +371,7 @@ def test_counting_transitions_does_not_visit_the_states(family):
     # every state of the ping and pong machines has one move, so each of
     # the 2**n composite states has one transition; visiting the 524,288
     # states of n = 19 takes seconds
-    assert len(expand(_bench_arena(family, 6), mode="full").transitions) == 2**6
+    assert len(expand(_bench_arena(family, 6), mode="full").fsm.transitions) == 2**6
     arena = _bench_arena(family, 19)
     t0 = time.perf_counter()
     count = _Expander(arena).count_transitions([], [])

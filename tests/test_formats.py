@@ -17,6 +17,7 @@ from afsm import (
     serialize,
     validate_fsm,
 )
+from afsm import formats, model
 from afsm.formats import (
     DuplicateName,
     FormatError,
@@ -118,6 +119,34 @@ def test_invalid_symbol_in_a_repeated_set_is_reported_at_its_first_line():
         parse(text)
     assert exc.value.line == 6
     assert "'b$'" in str(exc.value)
+
+
+def test_token_checks_do_not_grow_with_the_transitions(monkeypatch):
+    # a declared state is a valid token and each distinct set text is
+    # checked once, so m and 10 m transitions match the token grammar
+    # equally often
+    grammar = model.TOKEN_RE
+    matched = []
+
+    class Counting:
+        def match(self, name):
+            matched.append(name)
+            return grammar.match(name)
+
+    for module in (model, formats):  # every module that holds the grammar
+        if hasattr(module, "TOKEN_RE"):
+            monkeypatch.setattr(module, "TOKEN_RE", Counting())
+    n, labels = 20, ("{}", "{a}", "{a,b}")
+
+    def matches(m):
+        matched.clear()
+        text = "fsm m\n  inputs {a,b}\n  outputs {y}\n"
+        text += "".join(f"  state s{i} {{y}}\n" for i in range(n))
+        text += "".join(f"  trans s{i % n} {labels[i % 3]} s{i // n % n}\n" for i in range(m))
+        assert len(parse(text + "end\n").fsms["m"].transitions) == m  # all distinct
+        return len(matched)
+
+    assert matches(100) == matches(1000) > 0
 
 
 def test_equal_symbol_sets_are_one_object():

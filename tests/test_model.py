@@ -112,12 +112,18 @@ def test_validate_fsm_checks_state_tokens_once_per_state(monkeypatch):
     # transitions between declared states are looked up, not re-checked
     calls = []
     token = model._token
-    monkeypatch.setattr(model, "_token", lambda kind, name: calls.append(name) or token(kind, name))
+
+    def spy(kind, name, *error):
+        if kind != "symbol":  # symbols are checked once per distinct set
+            calls.append(name)
+        return token(kind, name, *error)
+
+    monkeypatch.setattr(model, "_token", spy)
     states = [f"s{i}" for i in range(5)]
     trans = [(a, ["a"], b) for a in states for b in states]
     m = validate_fsm("m", states, ["a"], [], {s: [] for s in states}, trans)
     assert len(m.transitions) == 25
-    assert len(calls) == 1 + 2 * len(states)  # the fsm id, the states, the output map
+    assert len(calls) == 1 + len(states)  # the fsm id and the states
 
 
 def test_transitions_are_ordered_by_the_label_key():
@@ -153,6 +159,12 @@ def test_renamed_is_isomorphic_copy():
     assert len(r.transitions) == len(m.transitions)
 
 
+def test_renamed_rejects_a_mapping_that_merges_states():
+    m = make_m1()
+    with pytest.raises(ModelError, match="maps states '1' and '2' to 'a'"):
+        m.renamed("M1r", {"1": "a", "2": "a"})
+
+
 def test_successors():
     m = make_m1()
     assert m.successors("1") == [(frozenset({"z1"}), "2")]
@@ -172,13 +184,16 @@ def test_successors_of_a_replaced_machine_are_its_own():
     assert bare == dataclasses.replace(make_m1(), transitions=())
 
 
-def calls_in_package(matches):
-    """File name -> enclosing function of every call in ``src/afsm/`` that ``matches``."""
+def calls_in_package(matches, node_type=ast.Call):
+    """File name -> enclosing function of every call in ``src/afsm/`` that ``matches``.
+
+    ``node_type`` widens the scan from calls to other syntax nodes.
+    """
     found = {}
 
     def visit(node, where, calls):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and matches(child):
+            if isinstance(child, node_type) and matches(child):
                 calls.append(where)
             inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
             visit(child, inner, calls)
@@ -212,6 +227,17 @@ def test_only_the_indexer_numbers_states():
         )
 
     assert calls_in_package(enumerates_states) == {"model.py": ["_index"]}
+
+
+def test_only_the_token_checker_reads_the_token_grammar():
+    # model._token is the one checker of the token grammar; a reference
+    # anywhere else (an import, an attribute, a name) would be a second one
+    def names_the_grammar(node):
+        name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+        return name == "TOKEN_RE"
+
+    found = calls_in_package(names_the_grammar, (ast.Name, ast.Attribute, ast.alias))
+    assert found == {"model.py": [None, "_token"]}  # its definition and its one reader
 
 
 def test_validate_arena_and_predecessors():
