@@ -9,11 +9,12 @@ algorithm of Paige & Tarjan (SIAM J. Comput. 1987) takes over from there,
 so the whole refinement costs O(m log n) for n states and m transitions.
 Two states are bisimilar iff they share a block, so R*, the bisimilarity
 verdict and the self-partition are read off the block ids that
-:func:`_blocks` returns, and :func:`quotient` names the blocks of the
-reachable part.  An isomorphism is a bisimulation, so
-:func:`is_isomorphic` searches only the bijections that keep each state
-in its own block.  A brute-force greatest-fixpoint oracle over the dense
-pair table is provided for cross-checking.
+:func:`_blocks` returns, and :func:`_quotient_moves` names the blocks of
+the reachable part for :func:`quotient` and ``compositional.reduce``.  An
+isomorphism is a bisimulation, so :func:`is_isomorphic` searches only the
+bijections that keep each state in its own block.  A brute-force
+greatest-fixpoint oracle over the dense pair table is provided for
+cross-checking.
 """
 
 from __future__ import annotations
@@ -199,6 +200,42 @@ def _split_until_stable(succ, coarse, block):
     return block
 
 
+def _quotient_moves(n, outputs, succ, initial, rank=None):
+    """The minimal machine of positions 0..n-1, on integers.
+
+    Position ``p`` has output ``outputs(p)`` and (label id, position) moves
+    ``succ(p)``, read only for the positions reachable from ``initial``, or
+    for all if it is None.  A block is represented by its member of least
+    ``rank``, by default its least position.  Returns the representatives
+    in that order, their (position, label id, position) moves and the
+    representative of ``initial``.
+    """
+    keep = range(n)
+    if initial is None:
+        local = list(map(succ, keep))
+    else:
+        found, moves = [initial], {initial: succ(initial)}
+        for p in found:  # grows as the walk reaches new positions
+            for _, d in moves[p]:
+                if d not in moves:
+                    moves[d] = succ(d)
+                    found.append(d)
+        if len(moves) < n:  # number the kept positions 0..k-1
+            keep = sorted(moves)
+            at = {p: i for i, p in enumerate(keep)}
+            moves = {p: [(lab, at[d]) for lab, d in moves[p]] for p in keep}
+            initial = at[initial]
+        local = [moves[p] for p in keep]
+    block = _refine(len(keep), list(map(outputs, keep)), local)
+    order = range(len(keep)) if rank is None else sorted(range(len(keep)), key=lambda i: rank(keep[i]))
+    least = {}  # block -> the index of its representative, in ``order``
+    for i in order:
+        least.setdefault(block[i], i)
+    rep = [keep[least[b]] for b in block]
+    rep_moves = [(keep[i], lab, rep[d]) for i in least.values() for lab, d in local[i]]
+    return [keep[i] for i in least.values()], rep_moves, None if initial is None else rep[initial]
+
+
 @paused_gc
 def _blocks(*machines) -> list:
     """Refine the disjoint union of ``machines`` once.
@@ -314,38 +351,20 @@ def quotient(m: Fsm) -> Fsm:
 
     A machine with an initial state is first restricted to its reachable
     part (an unreachable state can always be dropped from a bisimilar
-    machine, so a minimal one has none).  States are then the blocks of
-    the maximal self-bisimulation; each block is named after its
-    lexicographically least member, so the result is deterministic.
+    machine, so a minimal one has none), whose transitions alone are read.
+    States are then the blocks of the maximal self-bisimulation; each block
+    is named after its lexicographically least member, so the result is
+    deterministic.
     """
     labels = {}
-    succ = _index(m, labels)
-    keep = range(len(m.states))
-    if m.initial is not None:
-        start = m.states.index(m.initial)
-        seen = {start}
-        stack = [start]
-        while stack:
-            for _, d in succ[stack.pop()]:
-                if d not in seen:
-                    seen.add(d)
-                    stack.append(d)
-        if len(seen) < len(keep):
-            keep = sorted(seen)
-            local = {p: i for i, p in enumerate(keep)}
-            succ = [[(lab, local[d]) for lab, d in succ[p]] for p in keep]
-    states = [m.states[p] for p in keep]
-    block = _refine(len(states), [m.output_map[s] for s in states], succ)
-    # states are in id order, so a block's first member is its least
-    name = {}
-    for s, b in zip(states, block):
-        name.setdefault(b, s)
-    rep = [name[b] for b in block]
+    states = m.states
+    start = None if m.initial is None else states.index(m.initial)
+    succ = _index(m, labels).__getitem__ if start is None else _index(m, labels, lazy=True)
+    reps, moves, init = _quotient_moves(len(states), lambda p: m.output_map[states[p]], succ, start)
     label = list(labels)
-    # a set: many transitions collapse onto one between blocks
-    trans = {(rep[i], label[lab], rep[d]) for i, moves in enumerate(succ) for lab, d in moves}
-    out_map = {s: m.output_map[s] for s in name.values()}
-    initial = None if m.initial is None else rep[keep.index(start)]
+    trans = {(states[p], label[lab], states[d]) for p, lab, d in moves}
+    out_map = {states[p]: m.output_map[states[p]] for p in reps}
+    initial = None if init is None else states[init]
     return _fsm(m.id, out_map, initial, m.inputs, m.outputs, out_map, trans)
 
 

@@ -13,6 +13,7 @@ import json
 import sys
 import time
 from dataclasses import asdict, dataclass, field
+from functools import cache
 
 from .model import Arena, Fsm, ModelError, validate_arena, validate_fsm
 from .bisim import BisimError, _blocks, _pairs, _verdict, naive_bisim_oracle, quotient
@@ -284,6 +285,7 @@ def cmd_stats(args) -> tuple[int, RunReport]:
     return 0, report
 
 
+@cache  # built once per process: parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="afsm", description="Arenas of finite state machines toolkit"

@@ -9,10 +9,12 @@ the totality convention, which never touches the product state space.
 
 :func:`reduce` expands only the quotient arena, and of its product only
 the part its minimal machine is built from: the states reachable from the
-initial state when every machine declares one.  The full product's size
-is still reported: its states are counted analytically and its
-transitions by one sum of move counts per vertex, without visiting its
-states (see ``expand._Expander.count_transitions``).
+initial state when every machine declares one.  It refines that part on
+integer codes and builds names, frozensets and transitions for the states
+of the minimal machine only (``expand._Expander.minimal``).  The full
+product's size is still reported: its states are counted analytically and
+its transitions by one sum of move counts per vertex, without visiting
+its states (``expand._Expander.count_transitions``).
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .bisim import (
     _blocks,
     is_bisimilar,
     max_bisimulation,
-    quotient,
     self_partition,
 )
 from .expand import DEFAULT_MAX_STATES, _check_guard, _Expander, expand
@@ -177,21 +178,20 @@ def reduce(arena: Arena, max_states: int = DEFAULT_MAX_STATES):
 
     Returns (minimal machine, report) where the report records the size of
     every intermediate step.  The expansion's size is that of the full
-    product of the quotient arena, which ``max_states`` guards: its states
-    are counted analytically, its transitions by a product of per-vertex
-    sums of move counts, without visiting its states; only states where a
-    machine has two moves into one target are counted one by one, reusing
-    the successors already found.  Only the states the minimal machine is
-    built from are named: with initial states, those reachable from the
-    initial state, which are all that :func:`quotient` keeps; without
-    them, the whole product.
+    product of the quotient arena, which ``max_states`` guards; it is
+    counted without visiting the product's states.  The minimal machine
+    is that of ``quotient(expand(arena_quotient(arena), mode="full").fsm)``,
+    built from the states reachable from the initial state, or from all
+    of them without initial states, refined on codes.  Only its own states
+    are given names and frozensets, each named after the least name in
+    its block.
     """
     classes = machine_classes(arena)
     a_min = _arena_quotient(arena, classes)
     total = _check_guard(a_min, max_states)
     ex = _Expander(a_min)
     codes, digits, succ = ex.explore("full" if ex.initial is None else "accessible", max_states)
-    minimal = quotient(ex.assemble(codes, digits, succ).fsm)
+    minimal = ex.minimal(codes, digits, succ)
     report = {
         "classes": len(classes.classes),
         "quotient_vertices": len(a_min.vertices),

@@ -20,15 +20,17 @@ against.  :func:`expand` computes the same machine on integers:
   combinations collapse as they arise.
 
 Exploration (:meth:`_Expander.explore`) finds the codes of the states and
-their successors; assembly (:meth:`_Expander.assemble`) then builds state
+their successors.  Assembly (:meth:`_Expander.assemble`) then builds state
 names, ``parts`` tuples and label and output frozensets once each, and
 hands the transitions, in any order, to ``model._fsm``, which puts the
-machine in canonical order.
+machine in canonical order.  :meth:`_Expander.minimal` builds instead the
+minimal machine of the explored states: it refines their codes, joins
+their names to rank each block's members, and builds frozensets and
+transitions for the representatives only.
 
-A caller that needs only the size of the full product, such as
-``compositional.reduce``, counts its transitions without visiting its
-states (:meth:`_Expander.count_transitions`) and assembles just the states
-it explored.  Two successors with different target digits are different
+``compositional.reduce`` needs only the size of the full product, whose
+transitions :meth:`_Expander.count_transitions` counts without visiting
+its states.  Two successors with different target digits are different
 codes, so a state none of whose machine states has two moves into one
 target has exactly the product of its vertices' move counts as
 transitions, whatever the strip; summed over such states, that product
@@ -41,10 +43,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from itertools import product
 from operator import getitem, mul, or_
 
+from .bisim import _quotient_moves
 from .model import Arena, Fsm, ModelError, _fsm, _index, paused_gc, predecessors
 
 # A full expansion of E. coli's 55,296-state quotient arena (400,000
@@ -161,18 +164,6 @@ def _fold(pair: int, forks):
     return acc
 
 
-class _SymbolSets(dict):
-    """Shifted mask -> its frozenset of symbols, each built once on first lookup."""
-
-    def __init__(self, symbol_set):
-        super().__init__()
-        self.symbol_set = symbol_set
-
-    def __missing__(self, mask):
-        value = self[mask] = self.symbol_set(mask)
-        return value
-
-
 class _Expander:
     """Integer tables of one arena, for successor enumeration on codes.
 
@@ -189,6 +180,7 @@ class _Expander:
         self.arena = arena
         self.order = arena.vertex_ids
         self.machines = machines = [fsm for _, fsm in arena.vertices]
+        self.state_ids = [m.states for m in machines]
         self.weights = [
             math.prod(len(m.states) for m in machines[i + 1:]) for i in range(len(machines))
         ]
@@ -269,10 +261,6 @@ class _Expander:
         mask >>= self.shift
         return frozenset(x for k, x in enumerate(self.symbols) if mask >> k & 1)
 
-    def all_digits(self):
-        """The digits of every composite state, in ascending code order."""
-        return product(*(range(len(m.states)) for m in self.machines))
-
     def explore(self, mode: str, max_states: int):
         """Ascending codes of the expansion's states, with the digits and the successors of each.
 
@@ -282,7 +270,7 @@ class _Expander:
         arena = self.arena
         if mode == "full":
             codes = range(_check_guard(arena, max_states))
-            digits = list(self.all_digits())
+            digits = list(product(*(range(len(m.states)) for m in self.machines)))
             return codes, digits, list(map(self.successors, digits))
         if self.initial is None:
             raise NoInitialState(
@@ -347,36 +335,48 @@ class _Expander:
         return total
 
     def assemble(self, codes, digits, succ) -> CompositeFsm:
-        """The expanded machine on the states ``codes``, from :meth:`explore`'s result.
-
-        Names, ``parts`` tuples and label and output frozensets are built
-        once each; :func:`model._fsm` puts the machine in canonical order.
-        """
+        """The expanded machine on the states ``codes``, from :meth:`explore`'s result."""
         low = (1 << self.shift) - 1
-        machines = self.machines
-        state_ids = [m.states for m in machines]
-        parts = [tuple(map(getitem, state_ids, ds)) for ds in digits]
+        high = ~low
+        parts = [tuple(map(getitem, self.state_ids, ds)) for ds in digits]
         names = list(map(composite_name, parts))
         name_of = dict(zip(codes, names))
-
-        sets = _SymbolSets(self.symbol_set)
-        high = ~low
+        sets = cache(self.symbol_set)  # each distinct mask's frozenset is built once
         transitions = [
-            (src, sets[p & high], name_of[p & low]) for src, found in zip(names, succ) for p in found
+            (src, sets(p & high), name_of[p & low]) for src, found in zip(names, succ) for p in found
         ]
         out_map = {
-            name: sets[reduce(or_, map(list.__getitem__, self.outputs, ds))]
+            name: sets(reduce(or_, map(list.__getitem__, self.outputs, ds)))
             for name, ds in zip(names, digits)
         }
-
-        arena = self.arena
         initial = None if self.initial is None else name_of[self.initial]
-        inputs = frozenset().union(*(m.inputs for m in machines))
-        outputs = frozenset().union(*(m.outputs for m in machines))
-        fsm = _fsm(f"M_{arena.id}", names, initial, inputs, outputs, out_map, transitions)
-        return CompositeFsm(
-            fsm=fsm, vertex_order=self.order, parts=dict(zip(names, parts))
+        fsm = self._machine(names, initial, out_map, transitions)
+        return CompositeFsm(fsm=fsm, vertex_order=self.order, parts=dict(zip(names, parts)))
+
+    def minimal(self, codes, digits, succ) -> Fsm:
+        """The minimal machine of the states ``codes``, from :meth:`explore`'s result."""
+        low = (1 << self.shift) - 1
+        high = ~low
+        at = {c: i for i, c in enumerate(codes)}
+        labels = {}  # shifted label mask -> label id
+        moves = [[(labels.setdefault(p & high, len(labels)), at[p & low]) for p in s] for s in succ]
+        outputs = [reduce(or_, map(list.__getitem__, self.outputs, ds)) for ds in digits]
+        names = [composite_name(tuple(map(getitem, self.state_ids, ds))) for ds in digits]
+        start = None if self.initial is None else at[self.initial]
+        reps, rep_moves, start = _quotient_moves(
+            len(codes), outputs.__getitem__, moves.__getitem__, start, names.__getitem__
         )
+        mask = list(labels)
+        sets = cache(self.symbol_set)
+        transitions = [(names[i], sets(mask[lab]), names[d]) for i, lab, d in rep_moves]
+        out_map = {names[i]: sets(outputs[i]) for i in reps}
+        return self._machine(out_map, None if start is None else names[start], out_map, transitions)
+
+    def _machine(self, states, initial, out_map, transitions) -> Fsm:
+        """An ``Fsm`` named after the arena, with the union of its machines' alphabets."""
+        inputs = frozenset().union(*(m.inputs for m in self.machines))
+        outputs = frozenset().union(*(m.outputs for m in self.machines))
+        return _fsm(f"M_{self.arena.id}", states, initial, inputs, outputs, out_map, transitions)
 
 
 def _check_guard(arena: Arena, max_states: int) -> int:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cache
 
 from .model import (
     Arena,
@@ -31,6 +32,7 @@ from .model import (
     MissingState,
     ModelError,
     _token,
+    paused_gc,
     symbol_set,
     validate_arena,
     validate_fsm,
@@ -88,17 +90,15 @@ def _parse_set(tok: str, line_no: int) -> frozenset:
     return _at(line_no, symbol_set, [p.strip() for p in body.split(",")] if body else [])
 
 
+@paused_gc
 def parse(text: str, source: str | None = None) -> ModelDocument:
     """Parse a document; raises ``FormatError`` with a line number on failure."""
     doc = ModelDocument(source=source)
     block = None  # None | ("fsm", name, acc) | ("arena", name, acc)
-    sets = {}  # set text -> its symbols, so each distinct text is checked once
 
-    def symbols(tok: str, line_no: int) -> frozenset:
-        parsed = sets.get(tok)
-        if parsed is None:
-            parsed = sets[tok] = _parse_set(tok, line_no)
-        return parsed
+    @cache  # each distinct set text is checked once, at the line that first reads it
+    def symbols(tok: str) -> frozenset:
+        return _parse_set(tok, line_no)
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -161,14 +161,14 @@ def parse(text: str, source: str | None = None) -> ModelDocument:
                     raise FormatError(f"'{kw}' takes one symbol set", line_no)
                 if acc[kw] is not None:
                     raise FormatError(f"duplicate '{kw}' directive", line_no)
-                acc[kw] = symbols(toks[1], line_no)
+                acc[kw] = symbols(toks[1])
             elif kw == "state":
                 if len(toks) != 3:
                     raise FormatError("'state' takes an id and an output set", line_no)
                 sid = _at(line_no, _token, "state id", toks[1])
                 if sid in acc["states"]:
                     raise DuplicateName(f"duplicate state {sid!r}", line_no)
-                acc["states"][sid] = symbols(toks[2], line_no)
+                acc["states"][sid] = symbols(toks[2])
             elif kw == "initial":
                 if len(toks) != 2:
                     raise FormatError("'initial' takes one state id", line_no)
@@ -187,7 +187,7 @@ def parse(text: str, source: str | None = None) -> ModelDocument:
                     raise MissingStateAtLine(
                         f"transition {side} {sid!r} is not a declared state", line_no
                     )
-                acc["trans"].append((src, symbols(label, line_no), dst))
+                acc["trans"].append((src, symbols(label), dst))
             else:
                 raise FormatError(f"unknown directive {kw!r} in fsm block", line_no)
         else:
@@ -222,15 +222,16 @@ def _fmt_set(symbols) -> str:
 
 
 def serialize_fsm(fsm: Fsm) -> str:
+    text = cache(_fmt_set)  # each distinct set is formatted once
     lines = [f"fsm {fsm.id}"]
-    lines.append(f"  inputs {_fmt_set(fsm.inputs)}")
-    lines.append(f"  outputs {_fmt_set(fsm.outputs)}")
+    lines.append(f"  inputs {text(fsm.inputs)}")
+    lines.append(f"  outputs {text(fsm.outputs)}")
     for s in fsm.states:
-        lines.append(f"  state {s} {_fmt_set(fsm.output_map[s])}")
+        lines.append(f"  state {s} {text(fsm.output_map[s])}")
     if fsm.initial is not None:
         lines.append(f"  initial {fsm.initial}")
     for src, label, dst in fsm.transitions:
-        lines.append(f"  trans {src} {_fmt_set(label)} {dst}")
+        lines.append(f"  trans {src} {text(label)} {dst}")
     lines.append("end")
     return "\n".join(lines)
 

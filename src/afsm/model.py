@@ -17,8 +17,10 @@ from __future__ import annotations
 import gc
 import re
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional
 
 TOKEN_RE = re.compile(r"[A-Za-z0-9_.*'+-]+\Z")
@@ -245,15 +247,31 @@ def _fsm(fsm_id, states, initial, inputs, outputs, output_map, transitions) -> F
     return Fsm(fsm_id, tuple(states), initial, inputs, outputs, output_map, ordered)
 
 
-def _index(m: Fsm, labels: dict, offset: int = 0) -> list:
+def _index(m: Fsm, labels: dict, offset: int = 0, lazy: bool = False):
     """The moves of ``m`` on integers, the one place states become positions.
 
     Returns, per position in ``m.states``, the list of its (label id,
     ``offset`` + target position) moves.  Each label is interned in
     ``labels``, which maps a label to its id and may be shared between
-    machines, so that their label ids are comparable.
+    machines, so that their label ids are comparable.  With ``lazy``, a
+    function from a position to its list is returned, which reads only
+    that state's transitions, found by bisection.
     """
     pos = {s: offset + i for i, s in enumerate(m.states)}
+    if lazy:
+        states, trans = m.states, m.transitions
+
+        def moves(p):
+            s = states[p]
+            i = bisect_left(trans, s, key=itemgetter(0))
+            found = []
+            while i < len(trans) and trans[i][0] == s:
+                _, label, dst = trans[i]
+                found.append((labels.setdefault(label, len(labels)), pos[dst]))
+                i += 1
+            return found
+
+        return moves
     succ = {s: [] for s in m.states}  # in the order of ``m.states``
     for src, label, dst in m.transitions:
         succ[src].append((labels.setdefault(label, len(labels)), pos[dst]))

@@ -243,6 +243,43 @@ def test_quotient_names_a_block_after_its_least_reachable_state():
     assert q.initial == "s0"
 
 
+def test_quotient_indexes_only_the_reachable_part(monkeypatch):
+    # three reachable states, and 0 or 10,000 transitions out of states that
+    # the initial state cannot reach: quotient builds the same three moves
+    built = []
+    index = bisim._index
+
+    def counting_index(*args, **kwargs):
+        moves = index(*args, **kwargs)
+        if not callable(moves):
+            built.extend(map(len, moves))
+            return moves
+
+        def counted(p):
+            found = moves(p)
+            built.append(len(found))
+            return found
+
+        return counted
+
+    monkeypatch.setattr(bisim, "_index", counting_index)
+    island = [f"u{i:02d}" for i in range(100)]
+    counts, results = [], []
+    for unreachable in ([], [(a, ["a"], b) for a in island for b in island]):
+        m = validate_fsm(
+            "m", ["r0", "r1", "r2", *island], ["a"], ["y"],
+            {s: ["y"] if s == "r2" else [] for s in ["r0", "r1", "r2", *island]},
+            [("r0", ["a"], "r1"), ("r1", ["a"], "r2"), ("r2", [], "r0"), *unreachable],
+            initial="r0",
+        )
+        built.clear()
+        results.append(quotient(m))
+        counts.append(sum(built))
+    assert len(results[1].states) == 3
+    assert results[0] == results[1]
+    assert counts == [3, 3]
+
+
 def test_quotient_keeps_unreachable_states_without_initial():
     m = validate_fsm(
         "m",

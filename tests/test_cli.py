@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from afsm import fixture_path, parse
+from afsm import cli, fixture_path, parse
 from afsm.cli import run
 
 EUCLID = str(fixture_path("euclid.afsm"))
@@ -296,6 +297,32 @@ def test_stats():
     assert "arena.ecoli.vertices: 17" in out
     assert "arena.ecoli.product_states: 3623878656" in out
     assert "fsm.CRP.states: 2" in out
+
+
+def test_the_parser_is_built_once_and_keeps_no_state_between_runs(tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    getattr(cli.build_parser, "cache_clear", lambda: None)()  # start from no parser
+    out_path = tmp_path / "min.afsm"
+    code, out, _ = invoke("minimize", EUCLID, "M3", "--json", "-o", str(out_path))
+    assert code == 0
+    assert json.loads(out)["outputs"] == [str(out_path)]
+    out_path.unlink()
+    code, out, _ = invoke("minimize", EUCLID, "M3")
+    assert code == 0
+    assert out.startswith("command: minimize\n") and "wrote:" not in out
+    code, out, _ = invoke("reduce", ECOLI, "ecoli")
+    assert code == 0
+    assert out.startswith("command: reduce\n") and "expanded_states: 55296" in out
+    assert "wrote:" not in out
+    assert list(tmp_path.iterdir()) == []
+    assert built.count("afsm") == 1
 
 
 def test_unknown_verb_exits_with_argparse_error():

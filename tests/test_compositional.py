@@ -26,7 +26,7 @@ from afsm import (
     validate_fsm,
     verify_theorem_4_2,
 )
-from afsm import compositional
+from afsm import bisim, compositional
 from afsm.compositional import ClassCoverageGap
 from afsm.formats import serialize_fsm
 from conftest import bloated_copy, hyp_arenas, random_arena, random_fsm, renamed_copy
@@ -342,6 +342,44 @@ def test_reduce_of_ecoli_computes_the_moves_of_the_reachable_states_only(monkeyp
     _, report = reduce(load_fixture("ecoli.afsm").arenas["ecoli"])
     assert 0 < len(seen) <= 306
     assert report["expanded_transitions"] == 400000
+
+
+def test_reduce_names_a_block_after_its_least_name_not_its_least_code():
+    # "-" sorts below ".", so the least code of the one block, a.b, is not
+    # its least name, a-.b
+    x = validate_fsm("X", ["a", "a-"], [], [], {"a": [], "a-": []}, [("a", [], "a-"), ("a-", [], "a")])
+    y = validate_fsm("Y", ["b", "z"], [], [], {"b": [], "z": []}, [("b", [], "z"), ("z", [], "b")])
+    arena = validate_arena("xy", {"v0": x, "v1": y}, [("v0", "v1")])
+    minimal, _ = reduce(arena)
+    direct = quotient(expand(arena_quotient(arena), mode="full").fsm)
+    assert serialize_fsm(minimal) == serialize_fsm(direct)
+    assert minimal.states == ("a-.b",)
+
+
+def test_reduce_builds_only_the_minimal_machine(monkeypatch):
+    rng = random.Random(4007)
+    arenas = [load_fixture("euclid.afsm").arenas["euclid"], load_fixture("ecoli.afsm").arenas["ecoli"]]
+    arenas += [random_arena(rng, with_initial=i % 2 == 0) for i in range(20)]
+    called = []
+
+    def spy(name, original):
+        return lambda *args: called.append(name) or original(*args)
+
+    assemble = expand_module._Expander.assemble
+    monkeypatch.setattr(expand_module._Expander, "assemble", spy("assemble", assemble))
+    for module in (bisim, compositional):  # every binding of quotient that reduce could reach
+        if hasattr(module, "quotient"):
+            monkeypatch.setattr(module, "quotient", spy("quotient", module.quotient))
+    reduced = 0
+    for arena in arenas:
+        try:
+            minimal, report = reduce(arena)
+        except QuotientSelfLoop:
+            continue
+        reduced += 1
+        assert len(minimal.states) == report["final_states"]
+    assert reduced > 10
+    assert called == []
 
 
 def test_ecoli_reduction_agrees_with_the_direct_path():

@@ -174,6 +174,23 @@ def test_serialize_fsm_without_initial_omits_directive():
     assert parse(text + "\n").fsms["m"].initial is None
 
 
+def test_serialize_fsm_formats_each_distinct_set_once(monkeypatch):
+    states = [f"s{i:02d}" for i in range(50)]
+    m = validate_fsm(
+        "m", states, ["a", "b"], ["y"], {s: ["y"] if s < "s25" else [] for s in states},
+        [(s, ["a"], t) for s, t in zip(states, states[1:])] + [(s, ["a", "b"], "s00") for s in states],
+    )
+    sets = {m.inputs, m.outputs, *m.output_map.values(), *(u for _, u, _ in m.transitions)}
+    assert len(sets) == 4  # {a,b}, {y}, {} and {a}, on 151 lines
+    formatted = []
+    fmt_set = formats._fmt_set
+    monkeypatch.setattr(formats, "_fmt_set", lambda s: formatted.append(s) or fmt_set(s))
+    text = serialize_fsm(m)
+    assert len(formatted) == len(set(formatted)) == len(sets)
+    monkeypatch.undo()
+    assert parse(text + "\n").fsms[m.id] == m
+
+
 def test_export_dot_fsm():
     doc = load_fixture("euclid.afsm")
     dot = export_dot(doc.fsms["M1"])
