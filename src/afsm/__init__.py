@@ -10,7 +10,6 @@ from .model import (
     Arena,
     Fsm,
     ModelError,
-    predecessors,
     symbol,
     symbol_set,
     validate_arena,
@@ -31,7 +30,6 @@ from .expand import (
     CompositeFsm,
     GuardExceeded,
     NoInitialState,
-    composite_successors,
     expand,
     state_count,
 )
@@ -39,13 +37,11 @@ from .compositional import (
     MachineClasses,
     QuotientSelfLoop,
     arena_quotient,
-    arena_vertex_partition,
     comp_bisimulation,
     induce_fsm,
     is_comp_bisimilar,
     machine_classes,
     reduce,
-    verify_theorem_4_2,
 )
 from .formats import (
     FormatError,

@@ -29,7 +29,7 @@ from .bisim import (
     max_bisimulation,
     self_partition,
 )
-from .expand import DEFAULT_MAX_STATES, _check_guard, _Expander, expand
+from .expand import DEFAULT_MAX_STATES, _check_guard, _Expander
 
 
 class CompositionalError(ModelError):
@@ -78,17 +78,16 @@ def machine_classes(a1: Arena, a2: Arena | None = None) -> MachineClasses:
             "machines disagree on declaring initial states; classes would be ill-defined"
         )
 
-    # one refinement of the distinct machines (Fsm is unhashable, so they
-    # are told apart by identity); a machine's class is the block of its
-    # initial state, or under the totality convention its set of blocks
-    machines = list({id(fsm): fsm for _, _, fsm in tagged}.values())
-    key_of = {
-        id(fsm): block[fsm.initial] if fsm.initial is not None else frozenset(block.values())
-        for fsm, block in zip(machines, _blocks(*machines))
-    }
-    groups = {}
+    # the vertices of each distinct machine, then one refinement of those
+    # machines; a machine's class is the block of its initial state, or
+    # under the totality convention its set of blocks
+    members = {}
     for tag, v, fsm in tagged:
-        groups.setdefault(key_of[id(fsm)], []).append((tag, v))
+        members.setdefault(fsm, []).append((tag, v))
+    groups = {}
+    for (fsm, vertices), block in zip(members.items(), _blocks(*members)):
+        key = block[fsm.initial] if fsm.initial is not None else frozenset(block.values())
+        groups.setdefault(key, []).extend(vertices)
 
     # canonical order: by least member of each class
     classes = tuple(sorted(map(frozenset, groups.values()), key=min))
@@ -127,18 +126,6 @@ def is_comp_bisimilar(a1: Arena, a2: Arena) -> bool:
     """Decide compositional bisimilarity via the induced machines."""
     classes = machine_classes(a1, a2)
     return is_bisimilar(induce_fsm(a1, classes, 0), induce_fsm(a2, classes, 1))
-
-
-def arena_vertex_partition(arena: Arena) -> tuple:
-    """Blocks of the maximal compositional self-bisimulation of an arena.
-
-    Machine classes alone are too coarse: two vertices carrying bisimilar
-    machines may still sit in different network contexts.  The partition is
-    therefore the self-bisimulation of the induced machine, which refines
-    the machine classes by edge structure.
-    """
-    classes = machine_classes(arena)
-    return self_partition(induce_fsm(arena, classes, 0))
 
 
 def arena_quotient(arena: Arena) -> Arena:
@@ -202,19 +189,3 @@ def reduce(arena: Arena, max_states: int = DEFAULT_MAX_STATES):
     }
     return minimal, report
 
-
-def verify_theorem_4_2(a1: Arena, a2: Arena, max_states: int = DEFAULT_MAX_STATES) -> dict:
-    """Check that compositional bisimilarity implies expansion bisimilarity.
-
-    Test-harness operation.  The implication is *not* a theorem of this
-    semantics: merging bisimilar vertices can remove composite labels
-    that only several concurrent copies of a machine can produce (labels
-    are unions of the component labels), so ``consistent = False`` is a
-    genuine counterexample, not necessarily an implementation bug.  See
-    the compositional tests for the minimal two-copies-vs-one example.
-    """
-    comp = is_comp_bisimilar(a1, a2)
-    m1 = expand(a1, mode="full", max_states=max_states).fsm
-    m2 = expand(a2, mode="full", max_states=max_states).fsm
-    flat = is_bisimilar(m1, m2)
-    return {"comp": comp, "flat": flat, "consistent": (not comp) or flat}

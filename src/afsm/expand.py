@@ -6,9 +6,10 @@ input label is the union of the per-machine labels, with each machine's
 symbols stripped of whatever its network predecessors currently output.
 A composite state where some machine cannot move has no successors.
 
-:func:`composite_successors` states these semantics directly on
-frozensets and state tuples, and is the reference the expansion is tested
-against.  :func:`expand` computes the same machine on integers:
+``composite_successors`` in ``tests/oracles.py`` states these semantics
+directly on frozensets and state tuples, and is the reference semantics
+the expansion is tested against.  :func:`expand` computes the same
+machine on integers:
 
 - every symbol of the arena is one bit, so a stripped label is
   ``u & ~strip`` and a label union is ``|``;
@@ -48,7 +49,7 @@ from itertools import product
 from operator import getitem, mul, or_
 
 from .bisim import _quotient_moves
-from .model import Arena, Fsm, ModelError, _fsm, _index, paused_gc, predecessors
+from .model import Arena, Fsm, ModelError, _fsm, _index, paused_gc
 
 # A full expansion of E. coli's 55,296-state quotient arena (400,000
 # transitions) raises peak RSS from 15.6 MB to 121.5 MB in a fresh
@@ -78,14 +79,6 @@ class GuardExceeded(ExpansionError):
 
 class NoInitialState(ExpansionError):
     """Accessible-mode expansion needs an initial state on every machine."""
-
-
-class ArityMismatch(ExpansionError):
-    pass
-
-
-class UnknownComponentState(ExpansionError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -122,30 +115,6 @@ def composite_name(parts) -> str:
     return PART_SEP + PART_SEP.join(
         p.replace("+", "++").replace(PART_SEP, "+-") for p in parts
     )
-
-
-def composite_successors(arena: Arena, parts) -> set:
-    """Successor (label, state-tuple) pairs of one composite state."""
-    parts = tuple(parts)
-    if len(parts) != len(arena.vertices):
-        raise ArityMismatch(
-            f"composite state has {len(parts)} parts, arena has {len(arena.vertices)} vertices"
-        )
-    for (v, fsm), s in zip(arena.vertices, parts):
-        if s not in fsm.output_map:
-            raise UnknownComponentState(f"state {s!r} is not a state of vertex {v!r}")
-    outs = {v: fsm.output_map[s] for (v, fsm), s in zip(arena.vertices, parts)}
-    per_vertex = []
-    for (v, fsm), s in zip(arena.vertices, parts):
-        strip = frozenset().union(*(outs[u] for u in predecessors(arena, v)))
-        moves = [(u - strip, d) for u, d in fsm.successors(s)]
-        if not moves:
-            return set()  # composite deadlock: some machine cannot fire
-        per_vertex.append(moves)
-    return {
-        (frozenset().union(*(u for u, _ in combo)), tuple(d for _, d in combo))
-        for combo in product(*per_vertex)
-    }
 
 
 def _union(masks) -> int:

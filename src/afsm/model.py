@@ -66,10 +66,6 @@ class UnknownMachine(ModelError):
     pass
 
 
-class UnknownVertex(ModelError):
-    pass
-
-
 def _token(kind: str, name: str, error=ModelError) -> str:
     """Validate and intern one token; the only reader of ``TOKEN_RE``."""
     if not isinstance(name, str) or not TOKEN_RE.match(name):
@@ -98,15 +94,17 @@ class Fsm:
     :func:`validate_fsm` is the checked way to build one from a raw
     description.  :func:`_fsm`, which trusts its arguments and puts them
     in canonical order, is the only code that calls this constructor.
+    The hash covers only the id, the initial state and the alphabets, whose
+    hashes CPython caches, so hashing a machine of any size is O(1).
     """
 
     id: str
-    states: tuple
+    states: tuple = field(hash=False)
     initial: Optional[str]
     inputs: SymbolSet
     outputs: SymbolSet
-    output_map: Mapping[str, SymbolSet]
-    transitions: tuple  # of (src, label, dst), canonically sorted
+    output_map: Mapping[str, SymbolSet] = field(hash=False)
+    transitions: tuple = field(hash=False)  # of (src, label, dst), canonically sorted
 
     @cached_property
     def _succ(self) -> dict:
@@ -122,10 +120,13 @@ class Fsm:
     def renamed(self, new_id: str, mapping: Mapping[str, str]) -> "Fsm":
         """Copy of this machine with states renamed through ``mapping``.
 
-        Two states mapped to one name raise :class:`ModelError`.
+        A state left out of ``mapping``, or two states mapped to one name,
+        raise :class:`ModelError`.
         """
         source = {}  # new name -> the state renamed to it
         for s in self.states:
+            if s not in mapping:
+                raise ModelError(f"fsm {self.id}: renaming leaves state {s!r} unmapped")
             new = _token("state id", mapping[s])
             other = source.setdefault(new, s)
             if other != s:
@@ -286,26 +287,9 @@ class Arena:
     vertices: tuple  # of (vertex_id, Fsm), sorted by vertex id
     edges: tuple  # of (src_vertex, dst_vertex), sorted
 
-    # derived from vertices and edges once, in __post_init__
-    _machines: dict = field(init=False, repr=False, compare=False)  # vertex -> Fsm
-    _predecessors: dict = field(init=False, repr=False, compare=False)  # vertex -> frozenset
-
-    def __post_init__(self):
-        pre = {v: [] for v, _ in self.vertices}
-        for a, b in self.edges:
-            pre[b].append(a)
-        object.__setattr__(self, "_machines", dict(self.vertices))
-        object.__setattr__(self, "_predecessors", {v: frozenset(p) for v, p in pre.items()})
-
     @property
     def vertex_ids(self) -> tuple:
         return tuple(v for v, _ in self.vertices)
-
-    def machine(self, v: str) -> Fsm:
-        try:
-            return self._machines[v]
-        except (KeyError, TypeError):
-            raise UnknownVertex(f"arena {self.id}: unknown vertex {v!r}") from None
 
 
 def validate_arena(
@@ -338,14 +322,6 @@ def validate_arena(
 
     ordered_vertices = tuple(sorted(vmap.items()))
     return Arena(arena_id, ordered_vertices, tuple(sorted(edge_set)))
-
-
-def predecessors(arena: Arena, v: str) -> frozenset:
-    """Sources of the communication edges pointing into vertex ``v``."""
-    pre = arena._predecessors.get(v)
-    if pre is None:
-        raise UnknownVertex(f"arena {arena.id}: unknown vertex {v!r}")
-    return pre
 
 
 def paused_gc(fn):

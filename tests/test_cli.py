@@ -5,10 +5,12 @@ import io
 import json
 import re
 import shlex
+import types
 from pathlib import Path
 
 import pytest
 
+import afsm
 from afsm import cli, fixture_path, parse
 from afsm.cli import run
 
@@ -237,6 +239,19 @@ def test_the_readme_usage_block_runs(tmp_path, monkeypatch):
         argv = [EUCLID if a == "$FIX" else a for a in argv[1:]]
         code, _, err = invoke(*argv)
         assert code in (0, 1), (argv, err)
+
+
+def test_the_readme_lists_exactly_the_public_api():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("The public API is re-exported"):]
+    listed = re.findall(r"`(\w+)`", section.split("\n\n", 2)[1])
+    public = {
+        name
+        for name, value in vars(afsm).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert len(listed) == len(set(listed))
+    assert set(listed) == public
 
 
 def test_export_dot_stdout_and_file(tmp_path):

@@ -9,7 +9,6 @@ from afsm import (
     InitialStateMismatch,
     QuotientSelfLoop,
     arena_quotient,
-    arena_vertex_partition,
     comp_bisimulation,
     expand,
     induce_fsm,
@@ -24,7 +23,6 @@ from afsm import (
     state_count,
     validate_arena,
     validate_fsm,
-    verify_theorem_4_2,
 )
 from afsm import bisim, compositional
 from afsm.compositional import ClassCoverageGap
@@ -96,6 +94,20 @@ def test_machine_classes_reject_mixed_initial_presence():
         machine_classes(arena)
 
 
+def test_machine_classes_refine_each_distinct_machine_once(monkeypatch):
+    # one arena parsed from two documents: equal machines, distinct objects
+    a1 = load_fixture("ecoli.afsm").arenas["ecoli"]
+    a2 = load_fixture("ecoli.afsm").arenas["ecoli"]
+    assert dict(a1.vertices)["LacZ"] is not dict(a2.vertices)["LacZ"]
+    refined = []
+    blocks = compositional._blocks
+    monkeypatch.setattr(compositional, "_blocks", lambda *ms: refined.extend(ms) or blocks(*ms))
+    classes = machine_classes(a1, a2)
+    assert sorted(m.id for m in refined) == sorted({fsm.id for _, fsm in a1.vertices})
+    for v in a1.vertex_ids:
+        assert classes.token_of(0, v) == classes.token_of(1, v)
+
+
 def test_induce_fsm_shape():
     doc = load_fixture("counterexample.afsm")
     a2 = doc.arenas["A2"]
@@ -154,9 +166,10 @@ def test_arena_vertex_partition_refines_classes_by_edges():
     # same machine class, different blocks
     arena = validate_arena("a", {"v1": m, "v2": m, "v3": m}, [("v1", "v3")])
     assert len(machine_classes(arena).classes) == 1
-    part = arena_vertex_partition(arena)
-    assert frozenset({"v2", "v3"}) in part
-    assert frozenset({"v1"}) in part
+    # v2 and v3 form one block, named after v2; v1 is a block of its own
+    q = arena_quotient(arena)
+    assert q.vertex_ids == ("v1", "v2")
+    assert q.edges == (("v1", "v2"),)
 
 
 def test_arena_quotient_of_one_directed_edge_pair_is_the_arena():
@@ -407,14 +420,3 @@ def test_expansion_preservation_has_a_genuine_counterexample():
     m1 = expand(a1, mode="full").fsm
     m2 = expand(a2, mode="full").fsm
     assert not is_bisimilar(m1, m2)
-    assert verify_theorem_4_2(a1, a2) == {
-        "comp": True,
-        "flat": False,
-        "consistent": False,
-    }
-
-
-def test_verify_report_on_counterexample_fixture():
-    doc = load_fixture("counterexample.afsm")
-    out = verify_theorem_4_2(doc.arenas["A1"], doc.arenas["A2"])
-    assert out == {"comp": False, "flat": True, "consistent": True}

@@ -1,13 +1,14 @@
+import ast
 import gc
 import itertools
 import random
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 
 from afsm import (
-    composite_successors,
     expand,
     is_bisimilar,
     load_fixture,
@@ -16,16 +17,15 @@ from afsm import (
     validate_fsm,
 )
 from afsm.expand import (
-    ArityMismatch,
     GuardExceeded,
     NoInitialState,
-    UnknownComponentState,
     _Expander,
     composite_name,
 )
 from afsm.cli import _bench_arena
 from afsm.model import _label_key
 from conftest import hyp_arenas, random_arena
+from oracles import ArityMismatch, UnknownComponentState, composite_successors
 
 
 def euclid_arena():
@@ -227,6 +227,22 @@ def test_composite_successors_errors():
         composite_successors(arena, ("1", "3"))
     with pytest.raises(UnknownComponentState):
         composite_successors(arena, ("1", "3", "ghost"))
+
+
+def test_the_reference_semantics_imports_nothing_from_the_library():
+    # the oracle is an independent reference only while it shares no code
+    # with the expansion it checks
+    def imported_modules(node):
+        if isinstance(node, ast.Import):
+            return [alias.name for alias in node.names]
+        if isinstance(node, ast.ImportFrom):
+            return ["." * node.level + (node.module or "")]
+        return []
+
+    tree = ast.parse((Path(__file__).resolve().parent / "oracles.py").read_text(encoding="utf-8"))
+    found = [name for node in ast.walk(tree) for name in imported_modules(node)]
+    assert found  # the scan sees the oracle's own imports
+    assert not [name for name in found if name.split(".")[0] in ("afsm", "")]
 
 
 def test_expand_rejects_unknown_mode():

@@ -57,7 +57,7 @@ def test_serialization_preserves_vertex_machine_assignment():
     # LacA reuses the LacY shape; the node line must say so after a round
     # trip, not degrade to a copy
     assert again.arena_nodes["ecoli"]["LacA"] == "LacY"
-    assert again.arenas["ecoli"].machine("LacA") is again.fsms["LacY"]
+    assert dict(again.arenas["ecoli"].vertices)["LacA"] is again.fsms["LacY"]
 
 
 def test_declaration_order_is_irrelevant():

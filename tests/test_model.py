@@ -7,7 +7,6 @@ import pytest
 
 from afsm import (
     load_fixture,
-    predecessors,
     symbol,
     symbol_set,
     validate_arena,
@@ -24,7 +23,6 @@ from afsm.model import (
     ModelError,
     SelfLoop,
     UnknownMachine,
-    UnknownVertex,
     _label_key,
 )
 from conftest import random_fsm
@@ -165,6 +163,12 @@ def test_renamed_rejects_a_mapping_that_merges_states():
         m.renamed("M1r", {"1": "a", "2": "a"})
 
 
+def test_renamed_rejects_a_mapping_that_leaves_out_a_state():
+    m = make_m1()
+    with pytest.raises(ModelError, match="fsm M1: renaming leaves state '2' unmapped"):
+        m.renamed("M1r", {"1": "a"})
+
+
 def test_successors():
     m = make_m1()
     assert m.successors("1") == [(frozenset({"z1"}), "2")]
@@ -182,6 +186,18 @@ def test_successors_of_a_replaced_machine_are_its_own():
     # and takes no part in equality
     assert m == make_m1()
     assert bare == dataclasses.replace(make_m1(), transitions=())
+
+
+def test_machines_hash_by_value_without_reading_their_states_or_transitions():
+    m = make_m1()
+    # the hash covers id, initial state and alphabets only, so its cost
+    # does not grow with the machine
+    assert hash(m) == hash(dataclasses.replace(m, transitions=()))
+    assert hash(m) == hash(dataclasses.replace(m, states=None, output_map=None, transitions=None))
+    # equal machines built apart are one key; a machine that differs only
+    # in what the hash skips is another
+    assert len({m, make_m1()}) == 1
+    assert len({m, dataclasses.replace(m, transitions=())}) == 2
 
 
 def calls_in_package(matches, node_type=ast.Call):
@@ -244,16 +260,11 @@ def test_validate_arena_and_predecessors():
     doc = load_fixture("euclid.afsm")
     arena = doc.arenas["euclid"]
     assert arena.vertex_ids == ("m1", "m2", "m3")
-    assert predecessors(arena, "m3") == frozenset({"m1", "m2"})
-    assert predecessors(arena, "m1") == frozenset()
-    with pytest.raises(UnknownVertex):
-        predecessors(arena, "nope")
-    with pytest.raises(UnknownVertex):
-        arena.machine("nope")
-    with pytest.raises(UnknownVertex):
-        arena.machine(["m1"])
-    assert arena.machine("m1").id == "M1"
-    # the precomputed maps take no part in equality
+    assert {a for a, b in arena.edges if b == "m3"} == {"m1", "m2"}
+    assert {a for a, b in arena.edges if b == "m1"} == set()
+    machines = dict(arena.vertices)
+    assert "nope" not in machines
+    assert machines["m1"].id == "M1"
     assert arena == load_fixture("euclid.afsm").arenas["euclid"]
 
 
@@ -280,22 +291,6 @@ def test_arena_edge_deduplication_and_order():
 def test_shared_machine_between_vertices():
     m = make_m1()
     arena = validate_arena("a", {"v": m, "w": m}, [])
-    assert arena.machine("v") is arena.machine("w")
+    machines = dict(arena.vertices)
+    assert machines["v"] is machines["w"]
 
-
-def test_predecessors_matches_edge_scan_on_random_arenas():
-    rng = random.Random(1001)
-    for _ in range(25):
-        n = rng.randint(1, 5)
-        m = random_fsm(rng, "m")
-        vertices = {f"v{i}": m for i in range(n)}
-        names = sorted(vertices)
-        edges = {
-            (a, b)
-            for a in names
-            for b in names
-            if a != b and rng.random() < 0.4
-        }
-        arena = validate_arena("a", vertices, edges)
-        for v in names:
-            assert predecessors(arena, v) == {a for a, b in edges if b == v}
