@@ -10,11 +10,11 @@ so the whole refinement costs O(m log n) for n states and m transitions.
 Two states are bisimilar iff they share a block, so R*, the bisimilarity
 verdict and the self-partition are read off the block ids that
 :func:`_blocks` returns, and :func:`_quotient_moves` names the blocks of
-the reachable part for :func:`quotient` and ``compositional.reduce``.  An
-isomorphism is a bisimulation, so :func:`is_isomorphic` searches only the
-bijections that keep each state in its own block.  A brute-force
-greatest-fixpoint oracle over the dense pair table is provided for
-cross-checking.
+the reachable part for :func:`quotient` and ``compositional.reduce``.
+:func:`_isomorphism` uses the same refinement, on moves read both ways:
+it pairs one state of each machine by hand and refines again, depth
+first, until every block is one pair.  A brute-force greatest-fixpoint
+oracle over the dense pair table is provided for cross-checking.
 """
 
 from __future__ import annotations
@@ -368,78 +368,66 @@ def quotient(m: Fsm) -> Fsm:
     return _fsm(m.id, out_map, initial, m.inputs, m.outputs, out_map, trans)
 
 
-def is_isomorphic(m1: Fsm, m2: Fsm) -> bool:
-    """Decide whether a state bijection preserves initial, outputs and edges.
+@paused_gc
+def _isomorphism(m1: Fsm, m2: Fsm) -> dict | None:
+    """A state bijection m1 -> m2 that preserves initial, outputs and moves.
 
-    An isomorphism is a bisimulation, so it maps each state into its own
-    block of one refinement of m1 + m2, and every block must hold as many
-    states of m1 as of m2.  A depth-first search runs over such bijections.
-    It assigns the states of m1 fewest choices first and checks, at each
-    step, the moves between the state just assigned and those assigned
-    before, in both machines.  When both machines are self-minimal no
-    block offers a choice and the search makes one pass.  A block of more
-    than ``_ISO_GUARD`` states of one machine raises
+    Individualisation-refinement (McKay & Piperno, "Practical graph
+    isomorphism, II", J. Symbolic Comput. 2014) on the disjoint union of
+    the two machines, whose moves are read forwards and, under labels of
+    their own, backwards.  States start coloured by (output set, is
+    initial) and :func:`_refine` makes the colouring stable.  An
+    isomorphism keeps each state in the block of its image, so a block
+    with unequal shares of the two machines refutes the colouring.  A
+    stable colouring whose blocks are all pairs is an isomorphism: the
+    pair of a state has a move onto the pair of each of its targets.
+    Otherwise the first m1 state of the smallest open block is paired with
+    each m2 state of that block in turn, by giving both a colour of their
+    own, and refined again, depth first.  A first refinement with a block
+    of more than ``_ISO_GUARD`` states of one machine raises
     :class:`TooLargeForGeneralIso`.
     """
-    if len(m1.states) != len(m2.states) or (m1.initial is None) != (m2.initial is None):
-        return False
-    b1, b2 = _blocks(m1, m2)
-    if sorted(b1.values()) != sorted(b2.values()):
-        return False
-    members = {}
-    for s, b in b2.items():
-        members.setdefault(b, []).append(s)
-    largest = max(map(len, members.values()))
-    if largest > _ISO_GUARD:
-        raise TooLargeForGeneralIso(
-            f"block of {largest} states exceeds the backtracking guard {_ISO_GUARD}"
-        )
-
-    def moves_into(m):
-        into = {s: [] for s in m.states}
-        for src, label, dst in m.transitions:
-            into[dst].append((label, src))
-        return into
-
-    into1, into2 = moves_into(m1), moves_into(m2)
-    f, g = {}, {}  # the bijection so far, and its inverse
-
-    def fits(s1, s2):
-        # f maps the moves out of and into s1 that touch the states mapped
-        # so far onto exactly those of s2
-        return (
-            {(u, f[d]) for u, d in m1.successors(s1) if d in f}
-            == {(u, d) for u, d in m2.successors(s2) if d in g}
-            and {(u, f[p]) for u, p in into1[s1] if p in f}
-            == {(u, p) for u, p in into2[s2] if p in g}
-        )
-
-    def candidates(s1):
-        # lazily filtered, so ``g`` is read when the search comes back to
-        # this position, not when it first arrives
-        return (
-            s2
-            for s2 in members[b1[s1]]
-            if s2 not in g and (s1 == m1.initial) == (s2 == m2.initial)
-        )
-
-    # depth-first search with an explicit stack of candidate iterators, one
-    # per assigned position of ``order``
-    order = sorted(m1.states, key=lambda s: len(members[b1[s]]))
-    stack = [candidates(order[0])]
-    while stack:
-        s1 = order[len(stack) - 1]
-        if s1 in f:
-            del g[f.pop(s1)]
-        for s2 in stack[-1]:
-            f[s1], g[s2] = s2, s1
-            if fits(s1, s2):
-                break
-            del f[s1], g[s2]
-        else:
-            stack.pop()
+    n = len(m1.states)
+    if n != len(m2.states) or (m1.initial is None) != (m2.initial is None):
+        return None
+    labels = {}
+    forward = _index(m1, labels) + _index(m2, labels, n)
+    moves = [list(out) for out in forward]
+    back = len(labels)
+    for s, out in enumerate(forward):
+        for lab, d in out:
+            moves[d].append((back + lab, s))
+    # depth first, on colourings still to refine: a colouring, and the
+    # pair to give colour -1 on a copy of it
+    work = [([(m.output_map[s], s == m.initial) for m in (m1, m2) for s in m.states], ())]
+    while work:
+        colour, pair = work.pop()
+        if pair:
+            colour = colour[:]
+            colour[pair[0]] = colour[pair[1]] = -1
+        block = _refine(2 * n, colour, moves)
+        cells = {}  # block id -> (its m1 positions, its m2 positions)
+        for p, b in enumerate(block):
+            cells.setdefault(b, ([], []))[p >= n].append(p)
+        if any(len(a) != len(b) for a, b in cells.values()):
             continue
-        if len(stack) == len(order):
-            return True
-        stack.append(candidates(order[len(stack)]))
-    return False
+        # each colouring refines the first, so only the first can fire this
+        largest = max(len(a) for a, _ in cells.values())
+        if largest > _ISO_GUARD:
+            raise TooLargeForGeneralIso(
+                f"block of {largest} states exceeds the backtracking guard {_ISO_GUARD}"
+            )
+        open_cells = [cell for cell in cells.values() if len(cell[0]) > 1]
+        if not open_cells:
+            return {m1.states[a[0]]: m2.states[b[0] - n] for a, b in cells.values()}
+        ours, theirs = min(open_cells, key=lambda cell: len(cell[0]))
+        work += [(block, (ours[0], t)) for t in reversed(theirs)]  # first tried first
+    return None
+
+
+def is_isomorphic(m1: Fsm, m2: Fsm) -> bool:
+    """Decide whether a state bijection preserves initial, outputs and moves.
+
+    See :func:`_isomorphism`, which finds the bijection.
+    """
+    return _isomorphism(m1, m2) is not None

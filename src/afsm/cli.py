@@ -211,24 +211,17 @@ def cmd_export_dot(args) -> tuple[int, RunReport]:
     return 0, report
 
 
-def _bench_templates() -> tuple[Fsm, Fsm]:
-    ping = validate_fsm(
-        "ping", ["p", "q"], ["tick"], ["hot"],
-        {"p": [], "q": ["hot"]},
-        [("p", ["tick"], "q"), ("q", [], "p")],
+def _bench_machine(name: str, label: str, output: str) -> Fsm:
+    """A two-state machine: on ``label`` it moves to a state that outputs ``output``."""
+    return validate_fsm(
+        name, ["p", "q"], [label], [output],
+        {"p": [], "q": [output]},
+        [("p", [label], "q"), ("q", [], "p")],
         initial="p",
     )
-    pong = validate_fsm(
-        "pong", ["p", "q"], ["tock"], ["cold"],
-        {"p": [], "q": ["cold"]},
-        [("p", ["tock"], "q"), ("q", [], "p")],
-        initial="p",
-    )
-    return ping, pong
 
 
-def _bench_arena(family: str, n: int) -> Arena:
-    ping, pong = _bench_templates()
+def _bench_arena(family: str, n: int, ping: Fsm, pong: Fsm) -> Arena:
     vertices = {f"v{i:03d}": (ping if i % 2 == 0 else pong) for i in range(n)}
     names = sorted(vertices)
     if n == 1:
@@ -245,8 +238,9 @@ def cmd_bench_scaling(args) -> tuple[int, RunReport]:
         raise CliError(f"--n-max must be at least 1, got {args.n_max}")
     report = RunReport("bench-scaling")
     rows = []
+    ping, pong = _bench_machine("ping", "tick", "hot"), _bench_machine("pong", "tock", "cold")
     for n in range(1, args.n_max + 1):
-        arena = _bench_arena(args.family, n)
+        arena = _bench_arena(args.family, n, ping, pong)
         t0 = time.perf_counter()
         ok = is_comp_bisimilar(arena, arena)
         elapsed = (time.perf_counter() - t0) * 1000

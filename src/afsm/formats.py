@@ -65,13 +65,15 @@ class ModelDocument:
 
     fsms: dict = field(default_factory=dict)  # name -> Fsm
     arenas: dict = field(default_factory=dict)  # name -> Arena
-    arena_nodes: dict = field(default_factory=dict)  # arena name -> {vertex: fsm name}
-    source: str | None = None
+    source: str | None = field(default=None, compare=False)
 
-    def __eq__(self, other):
-        if not isinstance(other, ModelDocument):
-            return NotImplemented
-        return self.fsms == other.fsms and self.arenas == other.arenas
+    @property
+    def arena_nodes(self) -> dict:
+        """Arena name -> {vertex: name of the machine it carries}."""
+        return {
+            name: {v: fsm.id for v, fsm in arena.vertices}
+            for name, arena in self.arenas.items()
+        }
 
 
 def _at(line_no: int, check, *args):
@@ -147,9 +149,6 @@ def parse(text: str, source: str | None = None) -> ModelDocument:
                 else:
                     vertices = {v: doc.fsms[n] for v, n in acc["nodes"].items()}
                     doc.arenas[name] = validate_arena(name, vertices, acc["edges"])
-                    doc.arena_nodes[name] = dict(acc["nodes"])
-            except FormatError:
-                raise
             except ModelError as exc:
                 raise FormatError(str(exc), acc["line"]) from exc
             block = None
@@ -236,11 +235,10 @@ def serialize_fsm(fsm: Fsm) -> str:
     return "\n".join(lines)
 
 
-def serialize_arena(arena: Arena, fsm_names: dict | None = None) -> str:
-    names = fsm_names or {v: fsm.id for v, fsm in arena.vertices}
+def serialize_arena(arena: Arena) -> str:
     lines = [f"arena {arena.id}"]
-    for v, _ in arena.vertices:
-        lines.append(f"  node {v} {names[v]}")
+    for v, fsm in arena.vertices:
+        lines.append(f"  node {v} {fsm.id}")
     for a, b in arena.edges:
         lines.append(f"  edge {a} {b}")
     lines.append("end")
@@ -250,10 +248,7 @@ def serialize_arena(arena: Arena, fsm_names: dict | None = None) -> str:
 def serialize(doc: ModelDocument) -> str:
     """Canonical textual form of a document (a parse/serialize fixpoint)."""
     chunks = [serialize_fsm(doc.fsms[name]) for name in sorted(doc.fsms)]
-    chunks += [
-        serialize_arena(doc.arenas[name], doc.arena_nodes.get(name))
-        for name in sorted(doc.arenas)
-    ]
+    chunks += [serialize_arena(doc.arenas[name]) for name in sorted(doc.arenas)]
     return "\n\n".join(chunks) + "\n"
 
 

@@ -107,7 +107,6 @@ def random_document(rng):
                        with_initial=rng.random() < 0.7)
         fsms[m.id] = m
     arenas = {}
-    arena_nodes = {}
     for i in range(rng.randint(0, 2)):
         nv = rng.randint(1, 3)
         names = {f"v{j}": rng.choice(sorted(fsms)) for j in range(nv)}
@@ -119,8 +118,7 @@ def random_document(rng):
         ]
         arena = validate_arena(f"A{i}", vertices, edges)
         arenas[arena.id] = arena
-        arena_nodes[arena.id] = names
-    return ModelDocument(fsms=fsms, arenas=arenas, arena_nodes=arena_nodes)
+    return ModelDocument(fsms=fsms, arenas=arenas)
 
 
 # state ids with dots and pluses exercise the composite-name escape; one

@@ -348,8 +348,8 @@ def test_is_isomorphic_is_guarded_by_block_size_not_output_class():
 
 
 def test_general_iso_is_not_limited_by_the_recursion_depth():
-    # 1,200 states in bisimilar groups of 4: not minimal, so the
-    # backtracking search assigns all 1,200 states one after another
+    # 1,200 states in bisimilar groups of 4: not minimal, so the search
+    # pairs states by hand, on a work list and not by recursion
     n = 1200
     states = [f"s{i}" for i in range(n)]
     m = validate_fsm(
@@ -372,6 +372,34 @@ def _brute_force_isomorphic(m1, m2):
         ):
             return True
     return False
+
+
+def assert_is_isomorphism(m1, m2, f):
+    assert sorted(f) == list(m1.states) and sorted(f.values()) == list(m2.states)
+    assert f.get(m1.initial) == m2.initial
+    assert all(m1.output_map[s] == m2.output_map[f[s]] for s in m1.states)
+    assert {(f[a], u, f[b]) for a, u, b in m1.transitions} == set(m2.transitions)
+
+
+def in_move_star(rng, hubs, leaves, moves, labels=("a",), with_initial=False):
+    """Hubs with ``moves`` moves each into deadlocked leaves of one output.
+
+    The leaves are shuffled and dealt to the moves in turn, so with
+    ``hubs * moves == leaves`` each leaf has one move into it, with fewer
+    leaves some have several, and with more some have none.
+    """
+    hs = [f"h{i}" for i in range(hubs)]
+    ls = [f"l{i}" for i in range(leaves)]
+    dealt = rng.sample(ls, leaves)
+    trans = [
+        (h, [rng.choice(labels)], dealt[(k * moves + j) % leaves])
+        for k, h in enumerate(hs)
+        for j in range(moves)
+    ]
+    return validate_fsm(
+        "star", hs + ls, labels, ["y"], {**{h: [] for h in hs}, **{x: ["y"] for x in ls}},
+        trans, initial=hs[0] if with_initial else None,
+    )
 
 
 def test_is_isomorphic_on_minimal_but_inaccessible_machines():
@@ -397,9 +425,15 @@ def test_is_isomorphic_agrees_with_brute_force_when_blocks_offer_choices():
     # has choices; partners are near-misses of renamed copies
     rng = random.Random(2013)
     answers = set()
-    for _ in range(150):
-        m = random_fsm(rng, "m", max_states=6, max_inputs=1, max_outputs=1,
-                       max_trans=rng.choice([4, 8, 12]), with_initial=rng.random() < 0.5)
+    for k in range(200):
+        if k < 150:
+            m = random_fsm(rng, "m", max_states=6, max_inputs=1, max_outputs=1,
+                           max_trans=rng.choice([4, 8, 12]), with_initial=rng.random() < 0.5)
+        else:  # leaves told apart only by the moves into them
+            hubs = rng.randint(1, 3)
+            m = in_move_star(rng, hubs, rng.randint(1, 8 - hubs), rng.randint(1, 3),
+                             labels=rng.choice([("a",), ("a", "b")]),
+                             with_initial=rng.random() < 0.5)
         r = renamed_copy(rng, m, "r")
         moved = list(r.transitions)
         if moved:
@@ -411,8 +445,29 @@ def test_is_isomorphic_agrees_with_brute_force_when_blocks_offer_choices():
         for partner in (r, near):
             verdict = is_isomorphic(m, partner)
             assert verdict == _brute_force_isomorphic(m, partner)
+            f = bisim._isomorphism(m, partner)
+            assert (f is not None) == verdict
+            if verdict:
+                assert_is_isomorphism(m, partner, f)
             answers.add((verdict, partner is r))
     assert answers == {(True, True), (True, False), (False, False)}
+
+
+def test_in_move_stars_need_few_refinements(monkeypatch):
+    # 16 states: 4 hubs, each with 3 moves into 12 deadlocked leaves of one
+    # output.  Only the moves into a leaf tell it apart, so a search that
+    # read moves forwards only would pair leaves by hand, far more often.
+    calls = []
+    refine = bisim._refine
+    monkeypatch.setattr(bisim, "_refine", lambda *a: calls.append(1) or refine(*a))
+    rng = random.Random(2014)
+    for _ in range(20):
+        m = in_move_star(rng, 4, 12, 3, labels=rng.choice([("a",), ("a", "b")]))
+        r = renamed_copy(rng, m, "r")
+        calls.clear()
+        assert is_isomorphic(m, r)
+        assert len(calls) <= 16
+        assert_is_isomorphism(m, r, bisim._isomorphism(m, r))
 
 
 def test_each_question_is_one_refinement(monkeypatch):

@@ -69,6 +69,17 @@ def test_unknown_machine_is_a_usage_error():
     code, _, err = invoke("check-bisim", EUCLID, "M1", "nope")
     assert code == 2
     assert "error:" in err
+    code, _, err = invoke("reduce", EUCLID, "nosuch")
+    assert code == 2
+    assert "no arena named 'nosuch'" in err
+
+
+def test_oracle_divergence_is_a_usage_error(monkeypatch):
+    monkeypatch.setattr(cli, "naive_bisim_oracle", lambda m1, m2: frozenset())
+    code, out, err = invoke("check-bisim", EUCLID, "M1", "M1", "--oracle")
+    assert code == 2
+    assert "oracle divergence" in err
+    assert out == ""
 
 
 def test_unreadable_file_is_a_usage_error():

@@ -22,7 +22,7 @@ from afsm.expand import (
     _Expander,
     composite_name,
 )
-from afsm.cli import _bench_arena
+from afsm.cli import _bench_arena, _bench_machine
 from afsm.model import _label_key
 from conftest import hyp_arenas, random_arena
 from oracles import ArityMismatch, UnknownComponentState, composite_successors
@@ -387,8 +387,9 @@ def test_counting_transitions_does_not_visit_the_states(family):
     # every state of the ping and pong machines has one move, so each of
     # the 2**n composite states has one transition; visiting the 524,288
     # states of n = 19 takes seconds
-    assert len(expand(_bench_arena(family, 6), mode="full").fsm.transitions) == 2**6
-    arena = _bench_arena(family, 19)
+    ping, pong = _bench_machine("ping", "tick", "hot"), _bench_machine("pong", "tock", "cold")
+    assert len(expand(_bench_arena(family, 6, ping, pong), mode="full").fsm.transitions) == 2**6
+    arena = _bench_arena(family, 19, ping, pong)
     t0 = time.perf_counter()
     count = _Expander(arena).count_transitions([], [])
     elapsed = time.perf_counter() - t0

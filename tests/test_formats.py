@@ -102,6 +102,26 @@ def test_parse_error_line_numbers():
         ("fsm m\n  inputs {}\n  outputs {}\n  state x {}\n", 4),
         ("arena a\n  node v ghost\nend\n", 2),
         ("fsm m\n  state x {}\nend\narena a\n  node v m\n  node w ghost\nend\n", 6),
+        # the machine is checked at 'end' and reported at its opening line
+        ("fsm m\n  inputs {}\n  outputs {}\n  state x {}\n  initial y\nend\n", 1),
+        ("fsm m\n  inputs {a}\n  outputs {}\n  state x {}\n  trans x {b} x\nend\n", 1),
+        ("fsm m\n  inputs {}\n  outputs {}\n  state x {y}\nend\n", 1),
+        ("fsm m\n  inputs {}\n  outputs {}\nend\n", 1),
+        # so is the arena
+        ("fsm m\n  state x {}\nend\narena a\n  node v m\n  edge v v\nend\n", 4),
+        ("fsm m\n  state x {}\nend\narena a\n  node v m\n  edge v w\nend\n", 4),
+        ("fsm m\n  inputs a\nend\n", 2),
+        ("fsm m extra\nend\n", 1),
+        ("fsm m\nend x\n", 2),
+        ("fsm m\n  inputs {}\n  inputs {}\nend\n", 3),
+        ("fsm m\n  state x {}\n  initial x\n  initial x\nend\n", 4),
+        ("fsm m\n  state x\nend\n", 2),
+        ("fsm m\n  state x {}\n  initial\nend\n", 3),
+        ("fsm m\n  state x {}\n  trans x {}\nend\n", 3),
+        ("arena a\n  node v\nend\n", 2),
+        ("fsm m\n  state x {}\nend\narena a\n  node v m\n  edge v\nend\n", 6),
+        ("fsm m\n  state x {}\nend\narena a\n  node v m\n  node v m\nend\n", 6),
+        ("arena a\n  bogus v\nend\n", 2),
     ]
     for text, line in cases:
         with pytest.raises(FormatError) as exc:

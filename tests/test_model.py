@@ -83,6 +83,10 @@ def test_validate_fsm_errors():
         validate_fsm("m", ["x"], [], [], {"x": []}, [("x", [], "ghost")])
     with pytest.raises(MissingState):
         validate_fsm("m", ["x"], [], [], {}, [])  # no output set for x
+    with pytest.raises(MissingState):
+        validate_fsm("m", ["x"], [], [], {"x": [], "ghost": []}, [])
+    with pytest.raises(BadSymbol):
+        validate_fsm("m", ["x"], [], [], {"x": []}, [("x", [["a"]], "x")])
     with pytest.raises(AlphabetViolation):
         validate_fsm("m", ["x"], [], [], {"x": []}, [("x", ["u"], "x")])
     with pytest.raises(AlphabetViolation):
@@ -274,6 +278,8 @@ def test_validate_arena_errors():
         validate_arena("a", {"v": m}, [("v", "v")])
     with pytest.raises(DanglingEdge):
         validate_arena("a", {"v": m, "w": m}, [("v", "ghost")])
+    with pytest.raises(DanglingEdge):
+        validate_arena("a", {"v": m, "w": m}, [("ghost", "v")])
     with pytest.raises(UnknownMachine):
         validate_arena("a", {"v": "not a machine"}, [])
     with pytest.raises(ModelError):
