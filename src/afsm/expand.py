@@ -130,7 +130,7 @@ def _fold(pair: int, forks):
     acc = (pair,)
     for moves in forks:
         acc = {(p | u) + t for p in acc for u, t in moves}
-    return acc
+    return tuple(acc)  # kept per state, where a tuple takes a fraction of a set's memory
 
 
 class _Expander:

@@ -14,10 +14,17 @@ One directive per line; ``#`` starts a comment, blank lines are ignored.
       edge <vertex-id> <vertex-id>
     end
 
+A symbol set is one token: ``{a,b}`` is read, ``{a, b}`` is not.
+
 Canonical output sorts everything (definitions by name, states and
 transitions lexicographically, set members alphabetically), uses UTF-8,
 LF line endings and two-space indentation, so serialization is a fixpoint
 of parse-then-serialize.
+
+:func:`parse` holds a large machine once.  Lines are split a block at a
+time and released once read.  A transition holds the id objects its
+``state`` lines declared and the one checked frozenset of its label text,
+and :func:`~afsm.model.validate_fsm` keeps such a tuple as it is.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ from .model import (
 )
 
 _SET_RE = re.compile(r"\{([^{}]*)\}\Z")
+_BLOCK = 1 << 16
 
 
 class FormatError(ModelError):
@@ -88,8 +96,23 @@ def _parse_set(tok: str, line_no: int) -> frozenset:
     m = _SET_RE.match(tok)
     if not m:
         raise FormatError(f"expected a symbol set like {{a,b}}, got {tok!r}", line_no)
-    body = m.group(1).strip()
-    return _at(line_no, symbol_set, [p.strip() for p in body.split(",")] if body else [])
+    body = m.group(1)  # a token holds no whitespace
+    return _at(line_no, symbol_set, body.split(",") if body else [])
+
+
+def _lines(text: str):
+    """The lines of ``text``, as ``str.splitlines`` numbers them.
+
+    The text is split a block of about ``_BLOCK`` characters at a time, so
+    the lines of a large document are never all held beside it.  A block
+    ends just after a ``\\n``, and ``\\r\\n`` is the only line break longer
+    than one character, so no break straddles two blocks.
+    """
+    start, size = 0, len(text)
+    while start < size:
+        end = text.find("\n", start + _BLOCK) + 1 or size
+        yield from text[start:end].splitlines()
+        start = end
 
 
 @paused_gc
@@ -97,18 +120,38 @@ def parse(text: str, source: str | None = None) -> ModelDocument:
     """Parse a document; raises ``FormatError`` with a line number on failure."""
     doc = ModelDocument(source=source)
     block = None  # None | ("fsm", name, acc) | ("arena", name, acc)
+    ids = None  # while an fsm block is open: each declared state id -> itself
 
     @cache  # each distinct set text is checked once, at the line that first reads it
     def symbols(tok: str) -> frozenset:
         return _parse_set(tok, line_no)
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line_no, line in enumerate(_lines(text), start=1):
+        if "#" in line:
+            line = line[:line.index("#")]
         # tokens are runs of non-space; sets keep their braces as one token
         toks = line.split()
+        if not toks:
+            continue
         kw = toks[0]
+
+        # the directive of most lines, so it is dispatched first; the
+        # transition holds the declared id objects, not the line's copies
+        if kw == "trans" and ids is not None:
+            if len(toks) != 4:
+                raise FormatError("'trans' takes source, label set, target", line_no)
+            _, src, label, dst = toks
+            try:
+                src, dst = ids[src], ids[dst]
+            except KeyError:  # a declared state is a valid token, so only a miss is checked
+                _at(line_no, _token, "state id", src)
+                _at(line_no, _token, "state id", dst)
+                side, sid = ("source", src) if src not in ids else ("target", dst)
+                raise MissingStateAtLine(
+                    f"transition {side} {sid!r} is not a declared state", line_no
+                ) from None
+            trans.append((src, symbols(label), dst))
+            continue
 
         if kw in ("fsm", "arena"):
             if block is not None:
@@ -119,9 +162,10 @@ def parse(text: str, source: str | None = None) -> ModelDocument:
             if name in doc.fsms or name in doc.arenas:
                 raise DuplicateName(f"duplicate definition of {name!r}", line_no)
             if kw == "fsm":
+                ids, trans = {}, []
                 block = ("fsm", name, {
                     "inputs": None, "outputs": None, "states": {},
-                    "initial": None, "trans": [], "line": line_no,
+                    "initial": None, "line": line_no,
                 })
             else:
                 block = ("arena", name, {"nodes": {}, "edges": [], "line": line_no})
@@ -143,7 +187,7 @@ def parse(text: str, source: str | None = None) -> ModelDocument:
                         acc["inputs"] or [],
                         acc["outputs"] or [],
                         acc["states"],
-                        acc["trans"],
+                        trans,
                         initial=acc["initial"],
                     )
                 else:
@@ -151,7 +195,7 @@ def parse(text: str, source: str | None = None) -> ModelDocument:
                     doc.arenas[name] = validate_arena(name, vertices, acc["edges"])
             except ModelError as exc:
                 raise FormatError(str(exc), acc["line"]) from exc
-            block = None
+            block = ids = trans = None
             continue
 
         if kind == "fsm":
@@ -168,25 +212,13 @@ def parse(text: str, source: str | None = None) -> ModelDocument:
                 if sid in acc["states"]:
                     raise DuplicateName(f"duplicate state {sid!r}", line_no)
                 acc["states"][sid] = symbols(toks[2])
+                ids[sid] = sid
             elif kw == "initial":
                 if len(toks) != 2:
                     raise FormatError("'initial' takes one state id", line_no)
                 if acc["initial"] is not None:
                     raise FormatError("at most one 'initial' directive is allowed", line_no)
                 acc["initial"] = _at(line_no, _token, "state id", toks[1])
-            elif kw == "trans":
-                if len(toks) != 4:
-                    raise FormatError("'trans' takes source, label set, target", line_no)
-                _, src, label, dst = toks
-                # a declared state is a valid token, so only a miss is checked
-                if src not in acc["states"] or dst not in acc["states"]:
-                    _at(line_no, _token, "state id", src)
-                    _at(line_no, _token, "state id", dst)
-                    side, sid = ("source", src) if src not in acc["states"] else ("target", dst)
-                    raise MissingStateAtLine(
-                        f"transition {side} {sid!r} is not a declared state", line_no
-                    )
-                acc["trans"].append((src, symbols(label), dst))
             else:
                 raise FormatError(f"unknown directive {kw!r} in fsm block", line_no)
         else:
@@ -212,7 +244,7 @@ def parse(text: str, source: str | None = None) -> ModelDocument:
                 raise FormatError(f"unknown directive {kw!r} in arena block", line_no)
 
     if block is not None:
-        raise FormatError(f"unterminated {block[0]} block {block[1]!r}", len(text.splitlines()))
+        raise FormatError(f"unterminated {block[0]} block {block[1]!r}", line_no)
     return doc
 
 

@@ -157,6 +157,10 @@ def validate_fsm(
 
     Every check runs here, and :func:`_fsm` puts the result in canonical
     order, so equal raw descriptions always produce identical machines.
+    Nothing already canonical is copied.  A frozenset label or output set
+    that passes its checks comes back as given, and a later set equal to it
+    comes back as that first one.  A transition tuple whose endpoints are
+    the declared id objects and whose label comes back as given is kept.
     """
     fsm_id = _token("fsm id", fsm_id)
     state_list = sorted({_token("state id", s) for s in states})
@@ -185,6 +189,8 @@ def validate_fsm(
                     raise AlphabetViolation(
                         f"fsm {fsm_id}: {where} {state!r} uses undeclared symbols {sorted(extra)}"
                     )
+                if value == key:  # a checked frozenset is kept, not copied
+                    value = key
                 seen[key] = value
             return value
 
@@ -208,9 +214,10 @@ def validate_fsm(
 
     label_of = within(inp, "transition label of")
     trans = []
-    for src, label, dst in transitions:
+    for t in transitions:
+        src, label, dst = t
         try:
-            src, dst = declared[src], declared[dst]
+            s, d = declared[src], declared[dst]
         except (KeyError, TypeError):  # not a declared state: find the first fault
             src = _token("state id", src)
             dst = _token("state id", dst)
@@ -218,7 +225,11 @@ def validate_fsm(
                 raise MissingState(f"fsm {fsm_id}: transition source {src!r} is not declared")
             if dst not in declared:
                 raise MissingState(f"fsm {fsm_id}: transition target {dst!r} is not declared")
-        trans.append((src, label_of(label, src), dst))
+        u = label_of(label, s)
+        if s is src and u is label and d is dst and type(t) is tuple:
+            trans.append(t)  # already canonical
+        else:
+            trans.append((s, u, d))
 
     return _fsm(fsm_id, state_list, initial, inp, out, omap, trans)
 

@@ -1,0 +1,92 @@
+"""One sha256 over the library's outputs, to show that a change keeps them byte-identical.
+
+Run from the root of a checkout, on both commits, and compare the lines::
+
+    PYTHONPATH=src python3 tests/output_digest.py
+
+The script re-runs itself under ``PYTHONHASHSEED=0``.  It hashes, for every
+arena of the shipped fixtures, 1,500 ``random_arena`` arenas (seed 7) and
+the arenas of 1,000 ``random_document`` documents (seed 11):
+``reduce``'s machine with its sorted report, and ``expand`` in both modes
+with its ``parts`` and the ``quotient`` of its machine.  For every machine
+of the fixtures and 3,000 ``random_fsm`` machines (seed 3) it hashes the
+``quotient``.  It also hashes ``serialize(parse(text))`` of the fixtures and
+of the 1,000 documents.  A call that raises contributes its error class
+and message instead.  pytest does not collect this file.
+"""
+
+import hashlib
+import os
+import random
+import sys
+
+from afsm import expand, fixture_path, parse, quotient, reduce, serialize
+from afsm.formats import serialize_fsm
+from conftest import random_arena, random_document, random_fsm
+
+FIXTURES = ("euclid.afsm", "counterexample.afsm", "ecoli.afsm")
+MAX_STATES = 60_000  # above ecoli_min's 55,296 states
+
+
+def outcome(call, *args, **kwargs):
+    """``call``'s result, or its error as text."""
+    try:
+        return call(*args, **kwargs)
+    except ValueError as exc:  # the base of every library error
+        return f"{type(exc).__name__}: {exc}"
+
+
+def machine_text(m) -> str:
+    return m if isinstance(m, str) else serialize_fsm(m)
+
+
+def arena_texts(arena):
+    got = outcome(reduce, arena, max_states=MAX_STATES)
+    if isinstance(got, str):
+        yield got
+    else:
+        yield serialize_fsm(got[0]) + repr(sorted(got[1].items()))
+    for mode in ("full", "accessible"):
+        flat = outcome(expand, arena, mode=mode, max_states=MAX_STATES)
+        if isinstance(flat, str):
+            yield flat
+        else:
+            yield serialize_fsm(flat.fsm) + repr(sorted(flat.parts.items()))
+            yield machine_text(outcome(quotient, flat.fsm))
+
+
+def texts():
+    docs = []
+    for name in FIXTURES:
+        text = fixture_path(name).read_text(encoding="utf-8")
+        docs.append(parse(text))
+        yield serialize(docs[-1])
+    rng = random.Random(11)
+    for _ in range(1000):
+        docs.append(parse(serialize(random_document(rng))))
+        yield serialize(docs[-1])
+    for doc in docs:
+        for name in sorted(doc.fsms):
+            yield machine_text(outcome(quotient, doc.fsms[name]))
+        for name in sorted(doc.arenas):
+            yield from arena_texts(doc.arenas[name])
+    rng = random.Random(7)
+    for _ in range(1500):
+        yield from arena_texts(random_arena(rng))
+    rng = random.Random(3)
+    for _ in range(3000):
+        yield machine_text(outcome(quotient, random_fsm(rng)))
+
+
+def main() -> None:
+    if os.environ.get("PYTHONHASHSEED") != "0":
+        os.execve(sys.executable, [sys.executable, *sys.argv], {**os.environ, "PYTHONHASHSEED": "0"})
+    digest = hashlib.sha256()
+    for text in texts():
+        digest.update(text.encode("utf-8"))
+        digest.update(b"\0")
+    print(digest.hexdigest())
+
+
+if __name__ == "__main__":
+    main()

@@ -74,6 +74,21 @@ def test_validate_fsm_deduplicates_transitions():
     assert len(m.transitions) == 1
 
 
+def test_validate_fsm_keeps_canonical_transitions_and_sets():
+    # a tuple of declared ids and a valid frozenset is kept as given; any
+    # other form is rebuilt from the declared ids and the checked sets
+    label, out = frozenset({"a"}), frozenset({"y"})
+    kept = ("x", label, "y")
+    copy = "".join(["x"])  # equal to a declared id, but another object
+    m = validate_fsm(
+        "m", ["x", "y"], ["a"], ["y"], {"x": out, "y": []},
+        [kept, ["y", label, "x"], (copy, label, "x"), ("y", frozenset(["a"]), "y")],
+    )
+    assert len(m.transitions) == 4 and sum(t is kept for t in m.transitions) == 1
+    assert all(type(t) is tuple and t[1] is label for t in m.transitions)
+    assert m.transitions[0][0] is m.states[0] and m.output_map["x"] is out
+
+
 def test_validate_fsm_errors():
     with pytest.raises(EmptyStateSet):
         validate_fsm("m", [], [], [], {}, [])
