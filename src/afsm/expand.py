@@ -20,14 +20,27 @@ machine on integers:
   (label mask, code) pairs, each packed into one int, so coinciding
   combinations collapse as they arise.
 
-Exploration (:meth:`_Expander.explore`) finds the codes of the states and
-their successors.  Assembly (:meth:`_Expander.assemble`) then builds state
-names, ``parts`` tuples and label and output frozensets once each, and
-hands the transitions, in any order, to ``model._fsm``, which puts the
-machine in canonical order.  :meth:`_Expander.minimal` builds instead the
-minimal machine of the explored states: it refines their codes, joins
-their names to rank each block's members, and builds frozensets and
-transitions for the representatives only.
+Exploration (:meth:`_Expander.explore`) finds the codes of the states,
+with the parts, output mask and successors of each.  A full expansion is
+one depth-first walk over prefixes (:meth:`_Expander._walk`).  It fixes the
+vertices' digits in a *nesting order*, and a prefix carries its partial
+code, output mask and successor set.  A vertex's stripped moves depend on
+its own digit and its predecessors' digits only, so they are computed and
+folded in once per prefix, at the first level where all of those digits
+are fixed, and every state below that prefix shares them.  The nesting
+order is built from the end: each step puts last the remaining vertex that
+the fewest remaining vertices read, because the moves of the vertices that
+read the last vertex are computed once per state.  An accessible expansion
+walks from the initial state instead, and folds each state it reaches on
+its own.
+
+Assembly (:meth:`_Expander.assemble`) then builds state names and label and
+output frozensets once each, and hands the transitions, in any order, to
+``model._fsm``, which puts the machine in canonical order.
+:meth:`_Expander.minimal` builds instead the minimal machine of the
+explored states: it refines their codes, joins their names to rank each
+block's members, and builds frozensets and transitions for the
+representatives only.
 
 ``compositional.reduce`` needs only the size of the full product, whose
 transitions :meth:`_Expander.count_transitions` counts without visiting
@@ -45,16 +58,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, reduce
-from itertools import product
+from heapq import heapify, heappop, heappush
+from itertools import accumulate, product
 from operator import getitem, mul, or_
 
 from .bisim import _quotient_moves
 from .model import Arena, Fsm, ModelError, _fsm, _index, paused_gc
 
 # A full expansion of E. coli's 55,296-state quotient arena (400,000
-# transitions) raises peak RSS from 15.6 MB to 121.5 MB in a fresh
-# CPython 3.11 process: about 2.0 KB per composite state.  10**6 states
-# is then about 2 GB, a quarter of an 8 GB machine.
+# transitions) raises peak RSS from 15.9 MB to 135.1 MB in a fresh
+# CPython 3.11 process: about 2.2 KB per composite state.  10**6 states
+# is then about 2.2 GB, a quarter of an 8 GB machine.
 DEFAULT_MAX_STATES = 10**6
 
 PART_SEP = "."
@@ -150,9 +164,8 @@ class _Expander:
         self.order = arena.vertex_ids
         self.machines = machines = [fsm for _, fsm in arena.vertices]
         self.state_ids = [m.states for m in machines]
-        self.weights = [
-            math.prod(len(m.states) for m in machines[i + 1:]) for i in range(len(machines))
-        ]
+        sizes = [len(m.states) for m in machines]
+        self.weights = list(accumulate(sizes[:0:-1], mul, initial=1))[::-1]
         # code of the composite initial state, if every machine declares one
         self.initial = None
         if all(m.initial is not None for m in machines):
@@ -182,6 +195,17 @@ class _Expander:
         # per vertex and state: strip mask -> stripped, deduplicated moves
         self._stripped = [[{} for _ in m.states] for m in machines]
 
+    def _strip(self, i: int, d: int, strip: int) -> tuple:
+        """The distinct moves of vertex ``i`` in state ``d`` with the bits ``strip`` taken off.
+
+        Each result is kept in ``_stripped``.
+        """
+        table = self._stripped[i][d]
+        moves = table.get(strip)
+        if moves is None:
+            moves = table[strip] = tuple({(u & ~strip, t) for u, t in self.moves[i][d]})
+        return moves
+
     def _moves(self, digits):
         """The moves of the state with ``digits`` for :func:`_fold`, or None if it deadlocks.
 
@@ -199,11 +223,7 @@ class _Expander:
                 strip |= outputs[j]
             strip &= self.label_bits[i][d]
             if strip:
-                table = self._stripped[i][d]
-                stripped = table.get(strip)
-                if stripped is None:
-                    stripped = table[strip] = tuple({(u & ~strip, t) for u, t in moves})
-                moves = stripped
+                moves = self._strip(i, d, strip)
             if len(moves) == 1:
                 ((u, t),) = moves
                 pair = (pair | u) + t
@@ -231,16 +251,17 @@ class _Expander:
         return frozenset(x for k, x in enumerate(self.symbols) if mask >> k & 1)
 
     def explore(self, mode: str, max_states: int):
-        """Ascending codes of the expansion's states, with the digits and the successors of each.
+        """Ascending codes of the expansion's states, and their parts, outputs and successors.
 
-        ``mode="full"`` takes every code; ``mode="accessible"`` walks from
-        the initial state.  Both are guarded by ``max_states``.
+        ``mode="full"`` takes every code, from :meth:`_walk`;
+        ``mode="accessible"`` walks from the initial state and computes the
+        successors of each state it reaches.  Both are guarded by
+        ``max_states``.
         """
         arena = self.arena
         if mode == "full":
-            codes = range(_check_guard(arena, max_states))
-            digits = list(product(*(range(len(m.states)) for m in self.machines)))
-            return codes, digits, list(map(self.successors, digits))
+            outputs, succ = self._walk(_check_guard(arena, max_states))
+            return range(len(succ)), list(product(*self.state_ids)), outputs, succ
         if self.initial is None:
             raise NoInitialState(
                 f"arena {arena.id}: accessible expansion needs initial states on every machine"
@@ -267,7 +288,118 @@ class _Expander:
                     digits_of[dst] = self.decode(dst)
                     frontier.append(dst)
         codes = sorted(digits_of)
-        return codes, [digits_of[c] for c in codes], [succ_of[c] for c in codes]
+        digits = [digits_of[c] for c in codes]
+        parts = [tuple(map(getitem, self.state_ids, ds)) for ds in digits]
+        outputs = [reduce(or_, map(list.__getitem__, self.outputs, ds)) for ds in digits]
+        return codes, parts, outputs, [succ_of[c] for c in codes]
+
+    def _nesting_order(self) -> list:
+        """The vertices in the order :meth:`_walk` fixes their digits.
+
+        The order is built from the end: each step takes the remaining
+        vertex that the fewest remaining vertices read (itself and its
+        arena successors).  The moves of the vertices that read the last
+        vertex are computed once per state, those of the vertices that
+        read the one before it once per prefix above the last level, and
+        so on.  A tie puts the larger machine later, then the larger
+        vertex index.  Counts only fall, so a heap that skips stale
+        entries keeps this O((V+E) log V).
+        """
+        pre, sizes = self.pre, list(map(len, self.state_ids))
+        readers = [1] * len(pre)
+        for ps in pre:
+            for j in ps:
+                readers[j] += 1
+        heap = [(r, -n, -v) for v, (r, n) in enumerate(zip(readers, sizes))]
+        heapify(heap)
+        order = []
+        while heap:
+            r, _, v = heappop(heap)
+            v = -v
+            if r != readers[v]:
+                continue  # a count that has fallen since
+            readers[v] = 0  # taken: no later entry matches
+            order.append(v)
+            for j in pre[v]:
+                if readers[j]:
+                    readers[j] -= 1
+                    heappush(heap, (readers[j], -sizes[j], -j))
+        order.reverse()
+        return order
+
+    def _walk(self, total: int):
+        """The output mask and the successors of every code of the full product.
+
+        A depth-first walk fixes the digits in :meth:`_nesting_order`.  A
+        vertex's stripped moves depend on its own digit and its
+        predecessors' digits only, so they are computed, and folded into
+        the prefix's partial successor set, once per prefix at the first
+        level where all of those digits are fixed.  Each prefix carries its
+        partial code, output mask and successor set; the last level writes
+        one code's results per digit.  Every fold collapses coinciding
+        successors, a single move's too: its label can cover the one bit in
+        which two partial successors differ.
+        """
+        nest = self._nesting_order()
+        n = len(nest)
+        level = [0] * n
+        for k, v in enumerate(nest):
+            level[v] = k
+        folds = [[] for _ in nest]  # per level: the vertices whose moves are fixed there
+        for w, ps in enumerate(self.pre):
+            folds[max([level[w], *map(level.__getitem__, ps)])].append(w)
+        digit = [0] * n  # per vertex: its digit in the current prefix
+        out_of = [0] * n  # per vertex: its output mask in the current prefix
+        pre, moves, label_bits, strip_moves = self.pre, self.moves, self.label_bits, self._strip
+
+        def fold(acc, ws):
+            for w in ws:
+                d = digit[w]
+                mv = moves[w][d]
+                strip = 0
+                for j in pre[w]:
+                    strip |= out_of[j]
+                strip &= label_bits[w][d]
+                if strip:
+                    mv = strip_moves(w, d, strip)
+                if not mv:
+                    return ()  # deadlock: every state of the prefix has no successors
+                acc = {(p | u) + t for p in acc for u, t in mv}
+            return acc
+
+        outputs = [0] * total
+        succ = [()] * total
+        last, leaf_folds = nest[-1], folds[-1]
+        leaf_outputs, leaf_weight = self.outputs[last], self.weights[last]
+        # per level: the prefix above it, and the next digit to take there
+        code_at, out_at, acc_at = [0] * n, [0] * n, [(0,)] * n
+        nxt = [0] * n
+        k = 0
+        while k >= 0:
+            if k == n - 1:
+                code, out, acc = code_at[k], out_at[k], acc_at[k]
+                for x, o in enumerate(leaf_outputs):
+                    c = code + x * leaf_weight
+                    outputs[c] = out | o
+                    if acc:
+                        digit[last], out_of[last] = x, o
+                        succ[c] = tuple(fold(acc, leaf_folds))
+                k -= 1
+                continue
+            v, x = nest[k], nxt[k]
+            if x == len(self.state_ids[v]):
+                nxt[k] = 0
+                k -= 1
+                continue
+            nxt[k] = x + 1
+            o = self.outputs[v][x]
+            digit[v], out_of[v] = x, o
+            code_at[k + 1] = code_at[k] + x * self.weights[v]
+            out_at[k + 1] = out_at[k] | o
+            acc = acc_at[k]
+            acc_at[k + 1] = fold(acc, folds[k]) if acc else acc
+            k += 1
+        return outputs, succ
 
     def count_transitions(self, codes, succ) -> int:
         """Number of transitions of the full expansion, without visiting its states.
@@ -303,34 +435,29 @@ class _Expander:
                 total += len(_fold(*self._moves(digits))) if n is None else n
         return total
 
-    def assemble(self, codes, digits, succ) -> CompositeFsm:
+    def assemble(self, codes, parts, outputs, succ) -> CompositeFsm:
         """The expanded machine on the states ``codes``, from :meth:`explore`'s result."""
         low = (1 << self.shift) - 1
         high = ~low
-        parts = [tuple(map(getitem, self.state_ids, ds)) for ds in digits]
         names = list(map(composite_name, parts))
         name_of = dict(zip(codes, names))
         sets = cache(self.symbol_set)  # each distinct mask's frozenset is built once
         transitions = [
             (src, sets(p & high), name_of[p & low]) for src, found in zip(names, succ) for p in found
         ]
-        out_map = {
-            name: sets(reduce(or_, map(list.__getitem__, self.outputs, ds)))
-            for name, ds in zip(names, digits)
-        }
+        out_map = dict(zip(names, map(sets, outputs)))
         initial = None if self.initial is None else name_of[self.initial]
         fsm = self._machine(names, initial, out_map, transitions)
         return CompositeFsm(fsm=fsm, vertex_order=self.order, parts=dict(zip(names, parts)))
 
-    def minimal(self, codes, digits, succ) -> Fsm:
+    def minimal(self, codes, parts, outputs, succ) -> Fsm:
         """The minimal machine of the states ``codes``, from :meth:`explore`'s result."""
         low = (1 << self.shift) - 1
         high = ~low
         at = {c: i for i, c in enumerate(codes)}
         labels = {}  # shifted label mask -> label id
         moves = [[(labels.setdefault(p & high, len(labels)), at[p & low]) for p in s] for s in succ]
-        outputs = [reduce(or_, map(list.__getitem__, self.outputs, ds)) for ds in digits]
-        names = [composite_name(tuple(map(getitem, self.state_ids, ds))) for ds in digits]
+        names = list(map(composite_name, parts))
         start = None if self.initial is None else at[self.initial]
         reps, rep_moves, start = _quotient_moves(
             len(codes), outputs.__getitem__, moves.__getitem__, start, names.__getitem__

@@ -1,4 +1,4 @@
-"""One sha256 over the library's outputs, to show that a change keeps them byte-identical.
+"""sha256 digests of the library's outputs, to show that a change keeps them byte-identical.
 
 Run from the root of a checkout, on both commits, and compare the lines::
 
@@ -13,6 +13,10 @@ of the fixtures and 3,000 ``random_fsm`` machines (seed 3) it hashes the
 ``quotient``.  It also hashes ``serialize(parse(text))`` of the fixtures and
 of the 1,000 documents.  A call that raises contributes its error class
 and message instead.  pytest does not collect this file.
+
+It prints one sha256 per section (the documents; their machines and
+arenas; the random arenas; the random machines), so that a mismatch names
+its section, and last the sha256 over all of them in that order.
 """
 
 import hashlib
@@ -55,8 +59,8 @@ def arena_texts(arena):
             yield machine_text(outcome(quotient, flat.fsm))
 
 
-def texts():
-    docs = []
+def document_texts(docs):
+    """``serialize(parse(text))`` of the fixtures and 1,000 random documents, kept in ``docs``."""
     for name in FIXTURES:
         text = fixture_path(name).read_text(encoding="utf-8")
         docs.append(parse(text))
@@ -65,14 +69,23 @@ def texts():
     for _ in range(1000):
         docs.append(parse(serialize(random_document(rng))))
         yield serialize(docs[-1])
+
+
+def document_machine_texts(docs):
     for doc in docs:
         for name in sorted(doc.fsms):
             yield machine_text(outcome(quotient, doc.fsms[name]))
         for name in sorted(doc.arenas):
             yield from arena_texts(doc.arenas[name])
+
+
+def random_arena_texts():
     rng = random.Random(7)
     for _ in range(1500):
         yield from arena_texts(random_arena(rng))
+
+
+def random_machine_texts():
     rng = random.Random(3)
     for _ in range(3000):
         yield machine_text(outcome(quotient, random_fsm(rng)))
@@ -81,10 +94,21 @@ def texts():
 def main() -> None:
     if os.environ.get("PYTHONHASHSEED") != "0":
         os.execve(sys.executable, [sys.executable, *sys.argv], {**os.environ, "PYTHONHASHSEED": "0"})
+    docs = []  # filled by the first section, read by the second
+    sections = (
+        ("documents", document_texts(docs)),
+        ("document machines and arenas", document_machine_texts(docs)),
+        ("random arenas", random_arena_texts()),
+        ("random machines", random_machine_texts()),
+    )
     digest = hashlib.sha256()
-    for text in texts():
-        digest.update(text.encode("utf-8"))
-        digest.update(b"\0")
+    for name, texts in sections:
+        part = hashlib.sha256()
+        for text in texts:
+            data = text.encode("utf-8") + b"\0"
+            part.update(data)
+            digest.update(data)
+        print(part.hexdigest(), name)
     print(digest.hexdigest())
 
 

@@ -334,27 +334,23 @@ def assert_counts_the_full_expansion(arena):
     assert _Expander(arena).count_transitions([], []) == len(full.transitions)
 
 
-def test_count_keeps_a_vertex_whose_predecessor_comes_later():
+def late_predecessor_arena():
     # a0 moves to a0 on {x} and on {x,y}; b, after a in vertex order,
     # outputs y in b1, which strips the two moves to one
     a = machine("A", [("a0", ["x"], "a0"), ("a0", ["x", "y"], "a0"), ("a0", [], "a1"), ("a1", [], "a0")])
     b = machine("B", [("b0", [], "b1"), ("b1", [], "b0")], {"b1": ["y"]})
-    arena = validate_arena("late", {"a": a, "b": b}, [("b", "a")])
-    assert arena.vertex_ids == ("a", "b")
-    assert_counts_the_full_expansion(arena)
+    return validate_arena("late", {"a": a, "b": b}, [("b", "a")])
 
 
-def test_count_drops_every_state_of_a_deadlocked_last_vertex():
+def deadlocked_last_vertex_arena():
     # z, last in vertex order, cannot move in z1; x branches on z's output
     x = machine("X", [("x0", ["p"], "x0"), ("x0", ["p", "q"], "x0"), ("x0", ["p"], "x1"), ("x1", [], "x0")])
     y = machine("Y", [("y0", ["q"], "y1"), ("y1", [], "y0"), ("y1", ["q"], "y1")], {"y0": ["q"]})
     z = machine("Z", [("z0", [], "z1"), ("z0", ["p"], "z0")], {"z0": ["q"], "z1": ["p"]})
-    arena = validate_arena("dead", {"x": x, "y": y, "z": z}, [("z", "x"), ("x", "y"), ("y", "z")])
-    assert _Expander(arena).count_transitions([], []) > 0
-    assert_counts_the_full_expansion(arena)
+    return validate_arena("dead", {"x": x, "y": y, "z": z}, [("z", "x"), ("x", "y"), ("y", "z")])
 
 
-def test_count_on_a_complete_digraph():
+def complete_digraph_arena():
     m = machine(
         "M",
         [("s0", ["a"], "s0"), ("s0", ["a", "b"], "s0"), ("s0", ["b"], "s1"),
@@ -363,23 +359,111 @@ def test_count_on_a_complete_digraph():
     )
     n = machine("N", [("t0", ["b"], "t1"), ("t1", ["a"], "t0"), ("t1", [], "t1")], {"t1": ["a", "b"]})
     vertices = {"v0": m, "v1": n, "v2": m, "v3": n}
-    arena = validate_arena("k4", vertices, list(itertools.permutations(vertices, 2)))
-    assert_counts_the_full_expansion(arena)
+    return validate_arena("k4", vertices, list(itertools.permutations(vertices, 2)))
 
 
-def test_count_on_a_star_whose_hub_branches():
+def branching_hub_arena():
     # the hub's moves {a} and {a,b} into h0 give one label beside a leaf's
     # single move {b}, and two beside a silent one; leaves strip b in l1
     hub = machine("H", [("h0", ["a"], "h0"), ("h0", ["a", "b"], "h0"), ("h0", ["c"], "h1"), ("h1", ["a"], "h0")])
     leaf = machine("L", [("l0", ["b"], "l1"), ("l1", [], "l0")], {"l1": ["b"]})
     vertices = {"hub": hub, **{f"leaf{i}": leaf for i in range(3)}}
-    arena = validate_arena("star", vertices, [(f"leaf{i}", "hub") for i in range(3)])
+    return validate_arena("star", vertices, [(f"leaf{i}", "hub") for i in range(3)])
+
+
+def test_count_keeps_a_vertex_whose_predecessor_comes_later():
+    arena = late_predecessor_arena()
+    assert arena.vertex_ids == ("a", "b")
     assert_counts_the_full_expansion(arena)
+
+
+def test_count_drops_every_state_of_a_deadlocked_last_vertex():
+    arena = deadlocked_last_vertex_arena()
+    assert _Expander(arena).count_transitions([], []) > 0
+    assert_counts_the_full_expansion(arena)
+
+
+def test_count_on_a_complete_digraph():
+    assert_counts_the_full_expansion(complete_digraph_arena())
+
+
+def test_count_on_a_star_whose_hub_branches():
+    assert_counts_the_full_expansion(branching_hub_arena())
 
 
 @given(hyp_arenas())
 def test_count_transitions_matches_the_full_expansion(arena):
     assert_counts_the_full_expansion(arena)
+
+
+def assert_the_walk_matches_each_state(arena):
+    """``explore("full")`` against the successors and outputs of each state on its own."""
+    codes, parts, outputs, succ = _Expander(arena).explore("full", 10**5)
+    machines = [fsm for _, fsm in arena.vertices]
+    assert list(codes) == list(range(state_count(arena)))
+    assert parts == list(itertools.product(*(m.states for m in machines)))
+    ref = _Expander(arena)  # its own caches, filled state by state
+    for code in codes:
+        want = ref.successors(ref.decode(code))
+        assert set(succ[code]) == set(want) and len(succ[code]) == len(want)
+        assert ref.symbol_set(outputs[code]) == frozenset().union(
+            *(m.output_map[s] for m, s in zip(machines, parts[code]))
+        )
+
+
+@given(hyp_arenas())
+def test_the_walk_matches_each_state(arena):
+    assert_the_walk_matches_each_state(arena)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        late_predecessor_arena,
+        deadlocked_last_vertex_arena,
+        complete_digraph_arena,
+        branching_hub_arena,
+    ],
+)
+def test_the_walk_matches_each_state_when_a_predecessor_comes_after_its_reader(build):
+    arena = build()
+    at = {v: i for i, v in enumerate(arena.vertex_ids)}
+    assert any(at[a] > at[b] for a, b in arena.edges)
+    assert_the_walk_matches_each_state(arena)
+
+
+def test_a_single_move_merges_the_successors_it_makes_equal():
+    # a forks into a0 on {x} and on {}; b, which reads a and so comes later
+    # in the walk, has the single move {x}, which covers the one bit in
+    # which a's two partial successors differ: a0.b0 has one successor
+    a = machine("A", [("a0", ["x"], "a0"), ("a0", [], "a0")])
+    b = machine("B", [("b0", ["x"], "b0")])
+    arena = validate_arena("merge", {"a": a, "b": b}, [("a", "b")])
+    comp = expand(arena, mode="full")
+    assert set(comp.fsm.transitions) == {
+        ("a0.b0", label, composite_name(dst))
+        for label, dst in composite_successors(arena, ("a0", "b0"))
+    } == {("a0.b0", frozenset({"x"}), "a0.b0")}
+    # the machine holds each transition once whatever explore returns, so
+    # the successors are counted where the walk writes them
+    _, parts, _, succ = _Expander(arena).explore("full", 1)
+    assert [len(s) for s in succ] == [len(composite_successors(arena, p)) for p in parts] == [1]
+
+
+@pytest.mark.parametrize("family", ["path", "star"])
+def test_a_full_expansion_of_2000_one_state_machines_takes_little_time(family):
+    # the product has one state under 2,000 levels: a walk that recursed
+    # per level would raise RecursionError, and a nesting order or place
+    # values quadratic in the vertices would take a large part of the bound
+    m = validate_fsm("M", ["s"], ["a"], ["b"], {"s": ["b"]}, [("s", ["a"], "s")], initial="s")
+    ids = [f"v{i:04d}" for i in range(2000)]
+    edges = list(zip(ids, ids[1:])) if family == "path" else [(v, ids[0]) for v in ids[1:]]
+    arena = validate_arena(family, dict.fromkeys(ids, m), edges)
+    t0 = time.perf_counter()
+    comp = expand(arena, mode="full")
+    elapsed = time.perf_counter() - t0
+    assert len(comp.fsm.states) == len(comp.fsm.transitions) == 1
+    assert elapsed < 0.5
 
 
 @pytest.mark.parametrize("family", ["ring", "star"])
