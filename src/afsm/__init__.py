@@ -62,4 +62,5 @@ def fixture_path(name: str):
 def load_fixture(name: str) -> ModelDocument:
     """Parse one of the shipped fixture documents."""
     path = fixture_path(name)
-    return parse(path.read_text(encoding="utf-8"), source=str(path))
+    with path.open(encoding="utf-8") as fh:
+        return parse(fh, source=str(path))

@@ -21,17 +21,23 @@ transitions lexicographically, set members alphabetically), uses UTF-8,
 LF line endings and two-space indentation, so serialization is a fixpoint
 of parse-then-serialize.
 
-:func:`parse` holds a large machine once.  Lines are split a block at a
-time and released once read.  A transition holds the id objects its
-``state`` lines declared and the one checked frozenset of its label text,
-and :func:`~afsm.model.validate_fsm` keeps such a tuple as it is.
+:func:`parse` reads a str or an open text file a block at a time, splits
+each block into lines and releases them once read, so it holds a large
+machine once and never the whole text of a file.  A transition holds the
+id objects its ``state`` lines declared and the one checked frozenset of
+its label text, and :func:`~afsm.model.validate_fsm` keeps such a tuple
+as it is, and keeps transitions read in canonical order in that order.
+:func:`serialize` joins blocks of lines that the CLI writes to a file one
+at a time.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, partial
+from operator import itemgetter
+from typing import TextIO
 
 from .model import (
     Arena,
@@ -46,7 +52,8 @@ from .model import (
 )
 
 _SET_RE = re.compile(r"\{([^{}]*)\}\Z")
-_BLOCK = 1 << 16
+_BLOCK = 1 << 16  # characters read at a time
+_LINES = 1 << 10  # lines written at a time
 
 
 class FormatError(ModelError):
@@ -100,24 +107,41 @@ def _parse_set(tok: str, line_no: int) -> frozenset:
     return _at(line_no, symbol_set, body.split(",") if body else [])
 
 
-def _lines(text: str):
-    """The lines of ``text``, as ``str.splitlines`` numbers them.
+def _lines(text):
+    """The lines of a str or an open text file, as ``str.splitlines`` numbers them.
 
-    The text is split a block of about ``_BLOCK`` characters at a time, so
-    the lines of a large document are never all held beside it.  A block
-    ends just after a ``\\n``, and ``\\r\\n`` is the only line break longer
-    than one character, so no break straddles two blocks.
+    The text is read ``_BLOCK`` characters at a time, cut after the last
+    ``\\n`` read and split, and the rest is carried into the next read,
+    so the lines of a large document are never all held at once.
+    ``\\r\\n`` is the only line break longer than one character, so no
+    break straddles a cut.
     """
-    start, size = 0, len(text)
-    while start < size:
-        end = text.find("\n", start + _BLOCK) + 1 or size
-        yield from text[start:end].splitlines()
-        start = end
+    if isinstance(text, str):
+        blocks = (text[i:i + _BLOCK] for i in range(0, len(text), _BLOCK))
+    else:
+        blocks = iter(partial(text.read, _BLOCK), "")
+    rest = ""
+    for block in blocks:
+        cut = block.rfind("\n") + 1
+        if cut:
+            yield from (rest + block[:cut]).splitlines()
+            rest = block[cut:]
+        else:
+            rest += block
+    yield from rest.splitlines()
+
+
+def parse(text: str | TextIO, source: str | None = None) -> ModelDocument:
+    """Parse a document from a str or an open text file.
+
+    Raises ``FormatError`` with a line number on failure.
+    """
+    return _parse(text, source)
 
 
 @paused_gc
-def parse(text: str, source: str | None = None) -> ModelDocument:
-    """Parse a document; raises ``FormatError`` with a line number on failure."""
+def _parse(text, source):
+    """:func:`parse`, which the CLI calls with an open file."""
     doc = ModelDocument(source=source)
     block = None  # None | ("fsm", name, acc) | ("arena", name, acc)
     ids = None  # while an fsm block is open: each declared state id -> itself
@@ -252,19 +276,25 @@ def _fmt_set(symbols) -> str:
     return "{" + ",".join(sorted(symbols)) + "}"
 
 
-def serialize_fsm(fsm: Fsm) -> str:
-    text = cache(_fmt_set)  # each distinct set is formatted once
-    lines = [f"fsm {fsm.id}"]
-    lines.append(f"  inputs {text(fsm.inputs)}")
-    lines.append(f"  outputs {text(fsm.outputs)}")
-    for s in fsm.states:
-        lines.append(f"  state {s} {text(fsm.output_map[s])}")
+def _serialized_fsm(fsm: Fsm):
+    """The canonical text of ``fsm``, a block of lines at a time, ending with ``end``."""
+    sets = {fsm.inputs, fsm.outputs, *fsm.output_map.values()}
+    sets.update(map(itemgetter(1), fsm.transitions))
+    text = {u: _fmt_set(u) for u in sets}  # each distinct set is formatted once
+    out = fsm.output_map
+    yield f"fsm {fsm.id}\n  inputs {text[fsm.inputs]}\n  outputs {text[fsm.outputs]}\n"
+    for i in range(0, len(fsm.states), _LINES):
+        yield "".join([f"  state {s} {text[out[s]]}\n" for s in fsm.states[i:i + _LINES]])
     if fsm.initial is not None:
-        lines.append(f"  initial {fsm.initial}")
-    for src, label, dst in fsm.transitions:
-        lines.append(f"  trans {src} {text(label)} {dst}")
-    lines.append("end")
-    return "\n".join(lines)
+        yield f"  initial {fsm.initial}\n"
+    trans = fsm.transitions
+    for i in range(0, len(trans), _LINES):
+        yield "".join([f"  trans {a} {text[u]} {b}\n" for a, u, b in trans[i:i + _LINES]])
+    yield "end"
+
+
+def serialize_fsm(fsm: Fsm) -> str:
+    return "".join(_serialized_fsm(fsm))
 
 
 def serialize_arena(arena: Arena) -> str:
@@ -277,11 +307,20 @@ def serialize_arena(arena: Arena) -> str:
     return "\n".join(lines)
 
 
+def _serialized(doc: ModelDocument):
+    """The canonical text of ``doc``, a block of lines at a time."""
+    definitions = [_serialized_fsm(doc.fsms[name]) for name in sorted(doc.fsms)]
+    definitions += [[serialize_arena(doc.arenas[name])] for name in sorted(doc.arenas)]
+    for k, blocks in enumerate(definitions):
+        if k:
+            yield "\n\n"
+        yield from blocks
+    yield "\n"
+
+
 def serialize(doc: ModelDocument) -> str:
     """Canonical textual form of a document (a parse/serialize fixpoint)."""
-    chunks = [serialize_fsm(doc.fsms[name]) for name in sorted(doc.fsms)]
-    chunks += [serialize_arena(doc.arenas[name]) for name in sorted(doc.arenas)]
-    return "\n\n".join(chunks) + "\n"
+    return "".join(_serialized(doc))
 
 
 def _dot_quote(s: str) -> str:

@@ -240,23 +240,46 @@ def _fsm(fsm_id, states, initial, inputs, outputs, output_map, transitions) -> F
     The arguments are trusted to describe a valid machine: distinct state
     ids, and transitions in any order whose endpoints are among them.
     States are sorted by id, and each state and each distinct label is
-    ranked once.  Transitions are ordered by (src, _label_key(label), dst):
-    grouped by source, and keyed within a source by one packed int of label
-    rank and target rank, so equal transitions collapse into one.  (Packing
-    the source too gives a large machine keys above 2**30, which sort about
-    twice as slowly.)
+    ranked once.  Transitions are ordered by (src, _label_key(label), dst).
+    One scan, which stops at the first transition out of that order, keeps
+    transitions that are already strictly in order, and so distinct, as
+    given.  Other transitions are grouped by source, and keyed within a
+    source by one packed int of label rank and target rank, so equal
+    transitions collapse into one.  (Packing the source too gives a large
+    machine keys above 2**30, which sort about twice as slowly.)
     """
     states = sorted(states)
-    transitions = list(transitions)
+    transitions = tuple(transitions)
     labels = sorted({u for _, u, _ in transitions}, key=_label_key)
     n = len(states)
     rank = {s: r for r, s in enumerate(states)}
     label_rank = {u: r * n for r, u in enumerate(labels)}
-    moves = [{} for _ in states]  # per source rank: packed key -> transition
-    for t in transitions:
-        moves[rank[t[0]]][label_rank[t[1]] + rank[t[2]]] = t
-    ordered = tuple([m[k] for m in moves for k in sorted(m)])
-    return Fsm(fsm_id, tuple(states), initial, inputs, outputs, output_map, ordered)
+    if not _in_order(transitions, rank, label_rank):
+        moves = [{} for _ in states]  # per source rank: packed key -> transition
+        for t in transitions:
+            moves[rank[t[0]]][label_rank[t[1]] + rank[t[2]]] = t
+        transitions = tuple([m[k] for m in moves for k in sorted(m)])
+    return Fsm(fsm_id, tuple(states), initial, inputs, outputs, output_map, transitions)
+
+
+def _in_order(transitions, rank, label_rank) -> bool:
+    """Whether ``transitions`` are strictly in canonical order; stops at the first that is not.
+
+    Sources are compared as ids, and ``""`` sorts below every id.  A
+    source equal to the one before it but another object reads as out
+    of order, which only costs the caller a sort.
+    """
+    last_src, last = "", -1
+    for src, label, dst in transitions:
+        key = label_rank[label] + rank[dst]
+        if src is not last_src:
+            if src <= last_src:
+                return False
+            last_src = src
+        elif key <= last:
+            return False
+        last = key
+    return True
 
 
 def _index(m: Fsm, labels: dict, offset: int = 0, lazy: bool = False):

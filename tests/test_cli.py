@@ -4,15 +4,18 @@ import csv
 import io
 import json
 import re
+import random
 import shlex
+import tracemalloc
 import types
 from pathlib import Path
 
 import pytest
 
 import afsm
-from afsm import cli, fixture_path, parse
+from afsm import cli, expand, fixture_path, formats, parse, quotient, reduce, serialize, validate_fsm
 from afsm.cli import run
+from afsm.formats import ModelDocument
 
 EUCLID = str(fixture_path("euclid.afsm"))
 COUNTER = str(fixture_path("counterexample.afsm"))
@@ -86,6 +89,26 @@ def test_unreadable_file_is_a_usage_error():
     code, _, err = invoke("check-bisim", "/no/such/file.afsm", "a", "b")
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("verb", [["stats"], ["check-bisim", "M1", "M1"]])
+def test_a_file_that_is_not_utf8_is_a_read_error(tmp_path, monkeypatch, verb):
+    path = tmp_path / "bad.afsm"
+    path.write_bytes(b"\xff")
+    code, out, err = invoke(verb[0], str(path), *verb[1:])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff")
+    # the same when the bad byte comes after many lines that were parsed:
+    # the text is decoded a block at a time, as parsing reads it
+    monkeypatch.setattr(formats, "_BLOCK", 64)
+    lines = formats._lines
+    read = []
+    monkeypatch.setattr(formats, "_lines", lambda text: (read.append(x) or x for x in lines(text)))
+    path.write_bytes(fixture_path("euclid.afsm").read_bytes() + b"# padding\n" * 2000 + b"# \xff\n")
+    code, out, err = invoke(verb[0], str(path), *verb[1:])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff")
+    assert len(read) > 1000
 
 
 MIXED_INITIAL = """\
@@ -183,6 +206,45 @@ def test_minimize_json_reports_blocks(tmp_path):
     stats = json.loads(out)["statistics"]
     assert stats["states_in"] == 4
     assert stats["blocks"] == stats["states_out"] == 2
+
+
+def test_written_machines_are_their_serialized_documents(tmp_path, monkeypatch):
+    # a machine is written a block of lines at a time, and the file holds
+    # exactly the canonical text of the document of that one machine
+    monkeypatch.setattr(formats, "_LINES", 3)
+    out_path = tmp_path / "out.afsm"
+    euclid, ecoli = afsm.load_fixture("euclid.afsm"), afsm.load_fixture("ecoli.afsm")
+    cases = [
+        (["expand", EUCLID, "euclid"], expand(euclid.arenas["euclid"], mode="full").fsm),
+        (["expand", EUCLID, "euclid", "--accessible"],
+         expand(euclid.arenas["euclid"], mode="accessible").fsm),
+        (["minimize", EUCLID, "M3"], quotient(euclid.fsms["M3"])),
+        (["reduce", ECOLI, "ecoli"], reduce(ecoli.arenas["ecoli"])[0]),
+    ]
+    for argv, m in cases:
+        code, _, _ = invoke(*argv, "-o", str(out_path))
+        assert code == 0
+        assert out_path.read_bytes() == serialize(ModelDocument(fsms={m.id: m})).encode("utf-8")
+
+
+def test_writing_a_machine_holds_a_small_part_of_its_text(tmp_path):
+    rng = random.Random(16)
+    states = [f"q{i:05d}" for i in range(10_000)]
+    labels = [[], ["a"], ["b"], ["a", "b"], ["a", "c"]]
+    m = validate_fsm(
+        "big", states, ["a", "b", "c"], ["y"], {s: ["y"] if s[-1] in "13579" else [] for s in states},
+        [(s, rng.choice(labels), rng.choice(states)) for s in states for _ in range(4)],
+    )
+    text = serialize(ModelDocument(fsms={m.id: m}))
+    path = tmp_path / "big.afsm"
+    tracemalloc.start()
+    try:
+        cli._write_fsm(str(path), m, cli.RunReport("expand"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_text(encoding="utf-8") == text
+    assert peak < len(text) / 4
 
 
 def test_check_comp_bisim_verdicts():

@@ -1,5 +1,8 @@
+import os
 import random
-import tracemalloc
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -204,11 +207,31 @@ def test_parsed_transitions_hold_the_declared_state_ids(monkeypatch):
     assert all(id(a) in ids and id(b) in ids for a, _, b in m.transitions)
 
 
-def test_parse_peak_memory_is_a_small_multiple_of_the_text():
-    # lines are released once read and transitions share the declared ids
-    # and the checked sets, so parsing holds little beyond the machine it
-    # builds: on this 0.34 MB text the peak was 17 times the text when every
-    # line and every transition was held twice, and is about 8 times now
+def parse_peak(text: str) -> int:
+    """The traced peak of ``parse(text)`` in a fresh interpreter.
+
+    Earlier tests in this process can move a peak measured here, so the
+    text is parsed in a new one, which imports the package before tracing.
+    """
+    code = (
+        "import sys, tracemalloc\n"
+        "from afsm import parse\n"
+        "text = sys.stdin.read()\n"
+        "tracemalloc.start()\n"
+        "parse(text)\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"
+    )
+    src = Path(formats.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], input=text, env=env, capture_output=True,
+        encoding="utf-8", check=True, timeout=60,
+    )
+    return int(done.stdout)
+
+
+def random_machine_text() -> str:
+    """A 2,000-state machine of 12,000 transitions, listed in no particular order."""
     rng = random.Random(2)
     n, labels = 2000, ("{}", "{a}", "{b}", "{a,b}", "{a,c}", "{a,b,c}")
     text = "fsm big\n  inputs {a,b,c}\n  outputs {y,z}\n"
@@ -217,14 +240,23 @@ def test_parse_peak_memory_is_a_small_multiple_of_the_text():
         f"  trans q{rng.randrange(n):04d} {rng.choice(labels)} q{rng.randrange(n):04d}\n"
         for _ in range(12000)
     )
-    text += "  initial q0000\nend\n"
-    tracemalloc.start()
-    try:
-        parse(text)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 13 * len(text)
+    return text + "  initial q0000\nend\n"
+
+
+def test_parse_peak_memory_is_a_small_multiple_of_the_text():
+    # lines are released once read and transitions share the declared ids
+    # and the checked sets, so parsing holds little beyond the machine it
+    # builds: on this 0.34 MB text the peak was 17 times the text when every
+    # line and every transition was held twice, and is about 8 times now
+    text = random_machine_text()
+    assert parse_peak(text) < 13 * len(text)
+
+
+def test_parse_of_canonical_text_builds_no_ordering_tables():
+    # transitions listed in canonical order are kept as read: ordering them
+    # with one dict per source state took the peak to about 8 times the text
+    text = serialize(parse(random_machine_text()))
+    assert parse_peak(text) < 6 * len(text)
 
 
 def test_equal_symbol_sets_are_one_object():
@@ -305,6 +337,47 @@ def test_random_documents_round_trip():
         again = parse(canon)
         assert again == doc
         assert serialize(again) == canon
+
+
+# every line break str.splitlines honours; "\r\n" is one break of two characters
+LINE_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+def with_every_line_break(rng, text: str, long_line: str) -> str:
+    """``text`` with each line ended by a random break, and ``long_line`` put in at random."""
+    lines = text.splitlines()
+    lines.insert(rng.randrange(len(lines) + 1), long_line)
+    breaks = list(LINE_BREAKS) + [rng.choice(LINE_BREAKS) for _ in lines[len(LINE_BREAKS):]]
+    rng.shuffle(breaks)
+    return "".join(map(str.__add__, lines, breaks))
+
+
+@pytest.mark.parametrize("block", [7, 64])
+def test_a_text_file_is_read_a_block_at_a_time(tmp_path, monkeypatch, block):
+    # a file is read _BLOCK characters at a time, and its lines are
+    # numbered as str.splitlines numbers the whole text, whichever break
+    # ends a line, wherever the blocks are cut and however long a line is
+    monkeypatch.setattr(formats, "_BLOCK", block)
+    rng = random.Random(block)
+    path = tmp_path / "doc.afsm"
+    for _ in range(40):
+        text = with_every_line_break(rng, serialize(random_document(rng)), "# " + "x" * 3 * block)
+        path.write_text(text, encoding="utf-8", newline="")
+        with open(path, encoding="utf-8", newline="") as fh:
+            assert list(formats._lines(fh)) == text.splitlines()
+        assert list(formats._lines(text)) == text.splitlines()
+        with open(path, encoding="utf-8", newline="") as fh:
+            assert parse(fh) == parse(text)
+        # a fault is reported at the same line from a file as from a str
+        lines = text.splitlines(keepends=True)
+        k = rng.randrange(len(lines) + 1)
+        bad = "".join(lines[:k]) + "  bogus x\n" + "".join(lines[k:])
+        path.write_text(bad, encoding="utf-8", newline="")
+        with pytest.raises(FormatError) as from_str:
+            parse(bad)
+        with open(path, encoding="utf-8", newline="") as fh, pytest.raises(FormatError) as from_file:
+            parse(fh)
+        assert from_str.value.line == from_file.value.line == k + 1
 
 
 def test_serialize_arena_standalone():

@@ -1,9 +1,11 @@
 import ast
 import dataclasses
+import operator
 import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from afsm import (
     load_fixture,
@@ -25,7 +27,7 @@ from afsm.model import (
     UnknownMachine,
     _label_key,
 )
-from conftest import random_fsm
+from conftest import hyp_machines, random_fsm
 
 
 def make_m1():
@@ -159,6 +161,25 @@ def test_transitions_are_ordered_by_the_label_key():
         assert list(m.transitions) == sorted(
             m.transitions, key=lambda t: (t[0], _label_key(t[1]), t[2])
         )
+
+
+@given(hyp_machines("m"), st.randoms(use_true_random=False))
+def test_fsm_orders_any_listing_and_keeps_a_canonical_one(m, rng):
+    # the trusted constructor puts any listing of the transitions in
+    # canonical order, collapsing equal ones, and keeps a canonical listing
+    # as given: the same tuple objects
+    fields = (m.id, m.states[::-1], m.initial, m.inputs, m.outputs, m.output_map)
+    canonical = list(m.transitions)
+    shuffled = canonical[:]
+    rng.shuffle(shuffled)
+    # each transition twice in a row; equal ids that are other objects
+    doubled = [t for t in canonical for _ in (0, 1)]
+    copies = [(a[:1] + a[1:], u, d[:1] + d[1:]) for a, u, d in canonical]
+    for listing in (canonical, shuffled, doubled, shuffled + canonical, copies, copies + shuffled):
+        built = model._fsm(*fields, listing)
+        assert built == m and built.transitions == m.transitions
+    kept = model._fsm(*fields, canonical).transitions
+    assert len(kept) == len(canonical) and all(map(operator.is_, kept, canonical))
 
 
 def test_empty_label_and_empty_output_are_legal():
