@@ -9,8 +9,10 @@ algorithm of Paige & Tarjan (SIAM J. Comput. 1987) takes over from there,
 so the whole refinement costs O(m log n) for n states and m transitions.
 Two states are bisimilar iff they share a block, so R*, the bisimilarity
 verdict and the self-partition are read off the block ids that
-:func:`_blocks` returns, and :func:`_quotient_moves` names the blocks of
-the reachable part for :func:`quotient` and ``compositional.reduce``.
+:func:`_blocks` returns.  :func:`_minimal` refines a machine given on
+integers and builds its minimal machine, each block named after its least
+member; :func:`quotient` hands it the reachable part that ``model._reach``
+walks, and ``expand._Expander.minimal`` the explored part of a product.
 :func:`_isomorphism` uses the same refinement, on moves read both ways:
 it pairs one state of each machine by hand and refines again, depth
 first, until every block is one pair.  A brute-force greatest-fixpoint
@@ -19,7 +21,7 @@ oracle over the dense pair table is provided for cross-checking.
 
 from __future__ import annotations
 
-from .model import Fsm, _fsm, _index, paused_gc
+from .model import Fsm, _fsm, _index, _reach, paused_gc
 
 _ISO_GUARD = 12
 
@@ -200,40 +202,26 @@ def _split_until_stable(succ, coarse, block):
     return block
 
 
-def _quotient_moves(n, outputs, succ, initial, rank=None):
-    """The minimal machine of positions 0..n-1, on integers.
+def _minimal(fsm_id, inputs, outputs, names, keys, succ, initial, labels, as_set) -> Fsm:
+    """The minimal machine of states 0..n-1, given on integers.
 
-    Position ``p`` has output ``outputs(p)`` and (label id, position) moves
-    ``succ(p)``, read only for the positions reachable from ``initial``, or
-    for all if it is None.  A block is represented by its member of least
-    ``rank``, by default its least position.  Returns the representatives
-    in that order, their (position, label id, position) moves and the
-    representative of ``initial``.
+    State ``p`` is named ``names[p]``, has output key ``keys[p]`` and the
+    (label id, state) moves ``succ[p]``, where ``labels`` maps each label
+    key to its id; ``initial`` is a state or None.  ``as_set`` turns an
+    output or label key into its frozenset.  Each block of the refinement
+    is represented by its member of least name, and only the
+    representatives' sets and transitions are built.
     """
-    keep = range(n)
-    if initial is None:
-        local = list(map(succ, keep))
-    else:
-        found, moves = [initial], {initial: succ(initial)}
-        for p in found:  # grows as the walk reaches new positions
-            for _, d in moves[p]:
-                if d not in moves:
-                    moves[d] = succ(d)
-                    found.append(d)
-        if len(moves) < n:  # number the kept positions 0..k-1
-            keep = sorted(moves)
-            at = {p: i for i, p in enumerate(keep)}
-            moves = {p: [(lab, at[d]) for lab, d in moves[p]] for p in keep}
-            initial = at[initial]
-        local = [moves[p] for p in keep]
-    block = _refine(len(keep), list(map(outputs, keep)), local)
-    order = range(len(keep)) if rank is None else sorted(range(len(keep)), key=lambda i: rank(keep[i]))
-    least = {}  # block -> the index of its representative, in ``order``
-    for i in order:
-        least.setdefault(block[i], i)
-    rep = [keep[least[b]] for b in block]
-    rep_moves = [(keep[i], lab, rep[d]) for i in least.values() for lab, d in local[i]]
-    return [keep[i] for i in least.values()], rep_moves, None if initial is None else rep[initial]
+    block = _refine(len(names), keys, succ)
+    least = {}  # block -> its representative
+    for p in sorted(range(len(names)), key=names.__getitem__):
+        least.setdefault(block[p], p)
+    rep = [names[least[b]] for b in block]
+    label = list(map(as_set, labels))
+    trans = [(names[p], label[lab], rep[d]) for p in least.values() for lab, d in succ[p]]
+    out_map = {names[p]: as_set(keys[p]) for p in least.values()}
+    start = None if initial is None else rep[initial]
+    return _fsm(fsm_id, out_map, start, inputs, outputs, out_map, trans)
 
 
 @paused_gc
@@ -357,15 +345,11 @@ def quotient(m: Fsm) -> Fsm:
     deterministic.
     """
     labels = {}
-    states = m.states
-    start = None if m.initial is None else states.index(m.initial)
-    succ = _index(m, labels).__getitem__ if start is None else _index(m, labels, lazy=True)
-    reps, moves, init = _quotient_moves(len(states), lambda p: m.output_map[states[p]], succ, start)
-    label = list(labels)
-    trans = {(states[p], label[lab], states[d]) for p, lab, d in moves}
-    out_map = {states[p]: m.output_map[states[p]] for p in reps}
-    initial = None if init is None else states[init]
-    return _fsm(m.id, out_map, initial, m.inputs, m.outputs, out_map, trans)
+    names, succ = _reach(m, labels)
+    keys = list(map(m.output_map.__getitem__, names))
+    initial = None if m.initial is None else 0
+    # the keys are the sets, which frozenset() returns as they are
+    return _minimal(m.id, m.inputs, m.outputs, names, keys, succ, initial, labels, frozenset)
 
 
 @paused_gc

@@ -39,9 +39,10 @@ output frozensets once each, ranks the names and the labels once, and
 builds the transitions already in canonical order, which ``model._fsm``
 checks in one scan and keeps.
 :meth:`_Expander.minimal` builds instead the minimal machine of the
-explored states: it refines their codes, joins their names to rank each
-block's members, and builds frozensets and transitions for the
-representatives only.
+explored states: it hands their names, output masks and moves on
+integers to ``bisim._minimal``, which also ends ``bisim.quotient``: it
+refines them, names each block after its least member, and builds
+frozensets and transitions for the representatives only.
 
 ``compositional.reduce`` needs only the size of the full product, whose
 transitions :meth:`_Expander.count_transitions` counts without visiting
@@ -63,7 +64,7 @@ from heapq import heapify, heappop, heappush
 from itertools import accumulate, product
 from operator import getitem, mul, or_
 
-from .bisim import _quotient_moves
+from .bisim import _minimal
 from .model import Arena, Fsm, ModelError, _fsm, _index, _label_key, paused_gc
 
 # A full expansion of E. coli's 55,296-state quotient arena (400,000
@@ -173,6 +174,12 @@ class _Expander:
             self.initial = sum(m.states.index(m.initial) * w for m, w in zip(machines, self.weights))
         self.shift = shift = (state_count(arena) - 1).bit_length()
         self.symbols = sorted(frozenset().union(*(m.inputs | m.outputs for m in machines)))
+        # the id and alphabets of the expanded machine
+        self.header = (
+            f"M_{arena.id}",
+            frozenset().union(*(m.inputs for m in machines)),
+            frozenset().union(*(m.outputs for m in machines)),
+        )
         bit = {x: 1 << (k + shift) for k, x in enumerate(self.symbols)}
         index = {v: i for i, v in enumerate(self.order)}
         self.pre = [[] for _ in machines]
@@ -471,11 +478,16 @@ class _Expander:
         del keys  # before the machine and its maps are built
         out_map = dict(zip(names, map(sets, outputs)))
         initial = None if self.initial is None else ordered[rank_of[self.initial]]
-        fsm = self._machine(ordered, initial, out_map, transitions)
+        fsm_id, inputs, outputs = self.header
+        fsm = _fsm(fsm_id, ordered, initial, inputs, outputs, out_map, transitions)
         return CompositeFsm(fsm=fsm, vertex_order=self.order, parts=dict(zip(names, parts)))
 
     def minimal(self, codes, parts, outputs, succ) -> Fsm:
-        """The minimal machine of the states ``codes``, from :meth:`explore`'s result."""
+        """The minimal machine of the states ``codes``, from :meth:`explore`'s result.
+
+        With an initial state, ``codes`` are to be the states it reaches, as
+        an accessible exploration finds them.
+        """
         low = (1 << self.shift) - 1
         high = ~low
         at = {c: i for i, c in enumerate(codes)}
@@ -483,20 +495,7 @@ class _Expander:
         moves = [[(labels.setdefault(p & high, len(labels)), at[p & low]) for p in s] for s in succ]
         names = list(map(composite_name, parts))
         start = None if self.initial is None else at[self.initial]
-        reps, rep_moves, start = _quotient_moves(
-            len(codes), outputs.__getitem__, moves.__getitem__, start, names.__getitem__
-        )
-        mask = list(labels)
-        sets = cache(self.symbol_set)
-        transitions = [(names[i], sets(mask[lab]), names[d]) for i, lab, d in rep_moves]
-        out_map = {names[i]: sets(outputs[i]) for i in reps}
-        return self._machine(out_map, None if start is None else names[start], out_map, transitions)
-
-    def _machine(self, states, initial, out_map, transitions) -> Fsm:
-        """An ``Fsm`` named after the arena, with the union of its machines' alphabets."""
-        inputs = frozenset().union(*(m.inputs for m in self.machines))
-        outputs = frozenset().union(*(m.outputs for m in self.machines))
-        return _fsm(f"M_{self.arena.id}", states, initial, inputs, outputs, out_map, transitions)
+        return _minimal(*self.header, names, outputs, moves, start, labels, cache(self.symbol_set))
 
 
 def _check_guard(arena: Arena, max_states: int) -> int:

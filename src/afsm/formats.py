@@ -23,10 +23,12 @@ of parse-then-serialize.
 
 :func:`parse` reads a str or an open text file a block at a time, splits
 each block into lines and releases them once read, so it holds a large
-machine once and never the whole text of a file.  A transition holds the
-id objects its ``state`` lines declared and the one checked frozenset of
-its label text, and :func:`~afsm.model.validate_fsm` keeps such a tuple
-as it is, and keeps transitions read in canonical order in that order.
+machine once and never the whole text of a file.  Every token and every
+state a transition names is checked at its line, and a transition holds
+the id objects its ``state`` lines declared and the one checked frozenset
+of its label text.  At ``end``, ``model._from_tokens`` checks only what
+tokens cannot show and keeps those tuples, and transitions read in
+canonical order stay in that order.
 :func:`serialize` joins blocks of lines that the CLI writes to a file one
 at a time.
 """
@@ -44,11 +46,11 @@ from .model import (
     Fsm,
     MissingState,
     ModelError,
+    _from_tokens,
     _token,
     paused_gc,
     symbol_set,
     validate_arena,
-    validate_fsm,
 )
 
 _SET_RE = re.compile(r"\{([^{}]*)\}\Z")
@@ -205,14 +207,9 @@ def _parse(text, source):
                 raise FormatError("'end' takes no arguments", line_no)
             try:
                 if kind == "fsm":
-                    doc.fsms[name] = validate_fsm(
-                        name,
-                        acc["states"].keys(),
-                        acc["inputs"] or [],
-                        acc["outputs"] or [],
-                        acc["states"],
-                        trans,
-                        initial=acc["initial"],
+                    doc.fsms[name] = _from_tokens(
+                        name, ids, acc["initial"], acc["inputs"] or frozenset(),
+                        acc["outputs"] or frozenset(), acc["states"], trans,
                     )
                 else:
                     vertices = {v: doc.fsms[n] for v, n in acc["nodes"].items()}

@@ -20,7 +20,6 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
-from operator import itemgetter
 from typing import Iterable, Mapping, Optional
 
 TOKEN_RE = re.compile(r"[A-Za-z0-9_.*'+-]+\Z")
@@ -92,8 +91,11 @@ class Fsm:
     """A canonically ordered finite state machine.
 
     :func:`validate_fsm` is the checked way to build one from a raw
-    description.  :func:`_fsm`, which trusts its arguments and puts them
-    in canonical order, is the only code that calls this constructor.
+    description: it checks and interns every token, and hands the parts
+    to :func:`_from_tokens`, which checks the rest.  ``formats.parse``,
+    which checks every token at its line, calls :func:`_from_tokens`
+    itself.  :func:`_fsm`, which trusts its arguments and puts them in
+    canonical order, is the only code that calls this constructor.
     The hash covers only the id, the initial state and the alphabets, whose
     hashes CPython caches, so hashing a machine of any size is O(1).
     """
@@ -155,67 +157,43 @@ def validate_fsm(
 ) -> Fsm:
     """Validate a raw machine description and return a canonical ``Fsm``.
 
-    Every check runs here, and :func:`_fsm` puts the result in canonical
-    order, so equal raw descriptions always produce identical machines.
-    Nothing already canonical is copied.  A frozenset label or output set
-    that passes its checks comes back as given, and a later set equal to it
-    comes back as that first one.  A transition tuple whose endpoints are
-    the declared id objects and whose label comes back as given is kept.
+    Every id and symbol is checked and interned here, and every state
+    referred to is looked up among the declared ones; :func:`_from_tokens`
+    checks the rest and :func:`_fsm` puts the result in canonical order, so
+    equal raw descriptions always produce identical machines.  Each
+    distinct symbol set is checked once.
     """
     fsm_id = _token("fsm id", fsm_id)
-    state_list = sorted({_token("state id", s) for s in states})
-    if not state_list:
-        raise EmptyStateSet(f"fsm {fsm_id}: at least one state is required")
-    declared = {s: s for s in state_list}  # an equal string -> the interned id
-
+    # an equal string -> the interned id, in id order
+    declared = {s: s for s in sorted({_token("state id", s) for s in states})}
     inp = symbol_set(inputs)
     out = symbol_set(outputs)
-
-    def within(alphabet, where):
-        # each distinct set is validated, interned and checked against
-        # ``alphabet`` once per call
-        seen = {}
-
-        def check(names, state) -> SymbolSet:
-            key = names if isinstance(names, frozenset) else tuple(names)
-            try:
-                value = seen.get(key)
-            except TypeError:  # an unhashable member, which symbol() rejects
-                return symbol_set(key)
-            if value is None:
-                value = symbol_set(key)
-                extra = value - alphabet
-                if extra:
-                    raise AlphabetViolation(
-                        f"fsm {fsm_id}: {where} {state!r} uses undeclared symbols {sorted(extra)}"
-                    )
-                if value == key:  # a checked frozenset is kept, not copied
-                    value = key
-                seen[key] = value
-            return value
-
-        return check
-
     if initial is not None:
         initial = _token("state id", initial)
-        if initial not in declared:
-            raise BadInitial(f"fsm {fsm_id}: initial state {initial!r} is not declared")
+    seen = {}
 
-    output_of = within(out, "output of state")
+    def checked(names) -> SymbolSet:
+        key = names if isinstance(names, frozenset) else tuple(names)
+        try:
+            value = seen.get(key)
+        except TypeError:  # an unhashable member, which symbol() rejects
+            return symbol_set(key)
+        if value is None:
+            value = seen[key] = symbol_set(key)
+        return value
+
     omap = {}
-    for s in state_list:
+    for s in declared:
         if s not in output_map:
             raise MissingState(f"fsm {fsm_id}: no output set declared for state {s!r}")
-        omap[s] = output_of(output_map[s], s)
+        omap[s] = checked(output_map[s])
     for s in output_map:
         if s not in declared:
             _token("state id", s)
             raise MissingState(f"fsm {fsm_id}: output map mentions unknown state {s!r}")
 
-    label_of = within(inp, "transition label of")
     trans = []
-    for t in transitions:
-        src, label, dst = t
+    for src, label, dst in transitions:
         try:
             s, d = declared[src], declared[dst]
         except (KeyError, TypeError):  # not a declared state: find the first fault
@@ -223,15 +201,40 @@ def validate_fsm(
             dst = _token("state id", dst)
             if src not in declared:
                 raise MissingState(f"fsm {fsm_id}: transition source {src!r} is not declared")
-            if dst not in declared:
-                raise MissingState(f"fsm {fsm_id}: transition target {dst!r} is not declared")
-        u = label_of(label, s)
-        if s is src and u is label and d is dst and type(t) is tuple:
-            trans.append(t)  # already canonical
-        else:
-            trans.append((s, u, d))
+            raise MissingState(f"fsm {fsm_id}: transition target {dst!r} is not declared")
+        trans.append((s, checked(label), d))
 
-    return _fsm(fsm_id, state_list, initial, inp, out, omap, trans)
+    return _from_tokens(fsm_id, omap, initial, inp, out, omap, trans)
+
+
+def _from_tokens(fsm_id, states, initial, inputs, outputs, output_map, transitions) -> Fsm:
+    """An ``Fsm`` from parts whose tokens are already checked.
+
+    The parts are trusted to be as :func:`validate_fsm` makes them:
+    interned ids, distinct states that are exactly the keys of
+    ``output_map``, frozensets of interned symbols, and a list of
+    transition tuples between declared states.  Checked here is what
+    tokens cannot show: that there is a state, that ``initial`` is
+    declared, and that each distinct output set and label lies within its
+    alphabet.  A violation names the least state id with such an output
+    set, or the source of the first transition with such a label.
+    """
+    if not output_map:
+        raise EmptyStateSet(f"fsm {fsm_id}: at least one state is required")
+    if initial is not None and initial not in output_map:
+        raise BadInitial(f"fsm {fsm_id}: initial state {initial!r} is not declared")
+    if not frozenset().union(*set(output_map.values())) <= outputs:
+        s = min(s for s, u in output_map.items() if not u <= outputs)
+        extra = sorted(output_map[s] - outputs)
+        raise AlphabetViolation(
+            f"fsm {fsm_id}: output of state {s!r} uses undeclared symbols {extra}"
+        )
+    if not frozenset().union(*{u for _, u, _ in transitions}) <= inputs:
+        s, u, _ = next(t for t in transitions if not t[1] <= inputs)
+        raise AlphabetViolation(
+            f"fsm {fsm_id}: transition label of {s!r} uses undeclared symbols {sorted(u - inputs)}"
+        )
+    return _fsm(fsm_id, states, initial, inputs, outputs, output_map, transitions)
 
 
 def _fsm(fsm_id, states, initial, inputs, outputs, output_map, transitions) -> Fsm:
@@ -282,35 +285,49 @@ def _in_order(transitions, rank, label_rank) -> bool:
     return True
 
 
-def _index(m: Fsm, labels: dict, offset: int = 0, lazy: bool = False):
-    """The moves of ``m`` on integers, the one place states become positions.
+def _index(m: Fsm, labels: dict, offset: int = 0):
+    """The moves of ``m`` on integers, the one place all its states become positions.
 
     Returns, per position in ``m.states``, the list of its (label id,
     ``offset`` + target position) moves.  Each label is interned in
     ``labels``, which maps a label to its id and may be shared between
-    machines, so that their label ids are comparable.  With ``lazy``, a
-    function from a position to its list is returned, which reads only
-    that state's transitions, found by bisection.
+    machines, so that their label ids are comparable.  :func:`_reach`
+    numbers only the states a walk reaches.
     """
     pos = {s: offset + i for i, s in enumerate(m.states)}
-    if lazy:
-        states, trans = m.states, m.transitions
-
-        def moves(p):
-            s = states[p]
-            i = bisect_left(trans, s, key=itemgetter(0))
-            found = []
-            while i < len(trans) and trans[i][0] == s:
-                _, label, dst = trans[i]
-                found.append((labels.setdefault(label, len(labels)), pos[dst]))
-                i += 1
-            return found
-
-        return moves
     succ = {s: [] for s in m.states}  # in the order of ``m.states``
     for src, label, dst in m.transitions:
         succ[src].append((labels.setdefault(label, len(labels)), pos[dst]))
     return list(succ.values())
+
+
+def _reach(m: Fsm, labels: dict):
+    """The states of ``m`` that its initial state reaches, and their moves on integers.
+
+    With no initial state every state counts as reached.  States are
+    numbered in the order the walk reaches them, the initial state first,
+    and only their transitions are read: those of ``s`` start where
+    bisection puts ``(s,)``, a probe that never compares labels (``<`` on
+    frozensets is subset order).  Returns the reached states and, per
+    position, its (label id, target position) moves, with labels interned
+    in ``labels`` as by :func:`_index`.
+    """
+    trans = m.transitions
+    found = list(m.states) if m.initial is None else [m.initial]
+    at = dict(zip(found, range(len(found))))
+    succ = []
+    for s in found:  # grows as the walk reaches new states
+        moves = []
+        i = bisect_left(trans, (s,))
+        while i < len(trans) and trans[i][0] == s:
+            _, label, dst = trans[i]
+            d = at.setdefault(dst, len(found))
+            if d == len(found):
+                found.append(dst)
+            moves.append((labels.setdefault(label, len(labels)), d))
+            i += 1
+        succ.append(moves)
+    return found, succ
 
 
 @dataclass(frozen=True)

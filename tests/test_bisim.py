@@ -5,7 +5,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, strategies as st
 
 from afsm import (
     InitialStateMismatch,
@@ -245,24 +245,16 @@ def test_quotient_names_a_block_after_its_least_reachable_state():
 
 def test_quotient_indexes_only_the_reachable_part(monkeypatch):
     # three reachable states, and 0 or 10,000 transitions out of states that
-    # the initial state cannot reach: quotient builds the same three moves
+    # the initial state cannot reach: the walk reads the same three moves
     built = []
-    index = bisim._index
+    reach = bisim._reach
 
-    def counting_index(*args, **kwargs):
-        moves = index(*args, **kwargs)
-        if not callable(moves):
-            built.extend(map(len, moves))
-            return moves
+    def counting_reach(*args):
+        found, succ = reach(*args)
+        built.extend(map(len, succ))
+        return found, succ
 
-        def counted(p):
-            found = moves(p)
-            built.append(len(found))
-            return found
-
-        return counted
-
-    monkeypatch.setattr(bisim, "_index", counting_index)
+    monkeypatch.setattr(bisim, "_reach", counting_reach)
     island = [f"u{i:02d}" for i in range(100)]
     counts, results = [], []
     for unreachable in ([], [(a, ["a"], b) for a in island for b in island]):
@@ -278,6 +270,31 @@ def test_quotient_indexes_only_the_reachable_part(monkeypatch):
     assert len(results[1].states) == 3
     assert results[0] == results[1]
     assert counts == [3, 3]
+
+
+@given(hyp_machines("m"), st.none() | st.integers(0, 13))
+@example(
+    # the walk reaches y before b, which are bisimilar: the block is named b
+    validate_fsm("m", ["s", "y", "b"], ["a", "b"], ["end"], {"s": [], "y": [], "b": []},
+                 [("s", ["a"], "y"), ("s", ["b"], "b")]),
+    1,
+)
+def test_quotient_names_each_block_after_its_least_reachable_member(m, k):
+    if k is not None:
+        initial = m.states[k % len(m.states)]
+        m = validate_fsm(m.id, m.states, m.inputs, m.outputs, m.output_map, m.transitions,
+                         initial=initial)
+    reached = {m.initial} if m.initial is not None else set(m.states)
+    todo = list(reached)
+    while todo:
+        for _, d in m.successors(todo.pop()):
+            if d not in reached:
+                reached.add(d)
+                todo.append(d)
+    rep = {s: min(block & reached) for block in self_partition(m) for s in block & reached}
+    q = quotient(m)
+    assert set(q.states) == set(rep.values())
+    assert q.initial == (None if m.initial is None else rep[m.initial])
 
 
 def test_quotient_keeps_unreachable_states_without_initial():

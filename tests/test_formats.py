@@ -29,7 +29,7 @@ from afsm.formats import (
     serialize_arena,
     serialize_fsm,
 )
-from afsm.model import MissingState
+from afsm.model import AlphabetViolation, BadSymbol, MissingState, ModelError
 from conftest import hyp_arenas, random_document
 
 FIXTURES = ("euclid.afsm", "counterexample.afsm", "ecoli.afsm")
@@ -189,22 +189,55 @@ def test_token_checks_do_not_grow_with_the_transitions(monkeypatch):
 
 def test_parsed_transitions_hold_the_declared_state_ids(monkeypatch):
     # a trans line refers to the id objects its state lines declared, not
-    # to copies cut from the line, and validation keeps those tuples
+    # to copies cut from the line, and the machine keeps those tuples
     given = []
-    check = formats.validate_fsm
-    monkeypatch.setattr(
-        formats, "validate_fsm", lambda *args, **kw: given.append(args) or check(*args, **kw)
-    )
+    build = formats._from_tokens
+    monkeypatch.setattr(formats, "_from_tokens", lambda *args: given.append(args) or build(*args))
     m = parse(
         "fsm m\n  inputs {a}\n  outputs {}\n  state x {}\n  state y {}\n"
         "  trans x {a} y\n  trans y {} x\n  trans y {a} y\nend\n"
     ).fsms["m"]
-    ((_, states, _, _, _, trans),) = given
+    ((_, states, _, _, _, _, trans),) = given
     ids = {id(s) for s in states}
     assert len(trans) == 3 and all(id(a) in ids and id(b) in ids for a, _, b in trans)
     assert {id(t) for t in m.transitions} == {id(t) for t in trans}
     ids = {id(s) for s in m.states}
     assert all(id(a) in ids and id(b) in ids for a, _, b in m.transitions)
+
+
+def test_alphabet_faults_come_after_token_faults_and_name_the_first():
+    # of two alphabet violations, validate_fsm and parse name the least state
+    # id with an undeclared output, else the first transition listed with an
+    # undeclared label; a bad token anywhere is reported before either
+    def fault(call, *args):
+        with pytest.raises(ModelError) as exc:
+            call(*args)
+        return type(exc.value), str(exc.value)
+
+    def machine(output_map, transitions):
+        return fault(validate_fsm, "m", ["b", "a"], ["i"], ["o"], output_map, transitions)
+
+    def document(outputs, trans):
+        return fault(parse, "fsm m\n  inputs {i}\n  outputs {o}\n"
+                     f"  state b {outputs[0]}\n  state a {outputs[1]}\n"
+                     + "".join(f"  trans {t}\n" for t in trans) + "end\n")
+
+    outputs = "fsm m: output of state 'a' uses undeclared symbols ['q']"
+    labels = "fsm m: transition label of 'b' uses undeclared symbols ['u']"
+    assert machine({"b": ["p"], "a": ["q"]}, []) == (AlphabetViolation, outputs)
+    assert document(["{p}", "{q}"], []) == (FormatError, f"line 1: {outputs}")
+    two_labels = [("b", ["u"], "a"), ("a", ["v"], "b")]
+    assert machine({"b": [], "a": []}, two_labels) == (AlphabetViolation, labels)
+    assert document(["{}", "{}"], ["b {u} a", "a {v} b"]) == (FormatError, f"line 1: {labels}")
+    both = "fsm m: output of state 'b' uses undeclared symbols ['p']"
+    assert machine({"b": ["p"], "a": []}, two_labels) == (AlphabetViolation, both)
+    assert document(["{p}", "{}"], ["b {u} a"]) == (FormatError, f"line 1: {both}")
+    # a bad symbol after an alphabet violation
+    bad = [("a", ["u"], "b"), ("b", ["{c}"], "a")]
+    assert machine({"b": ["p"], "a": []}, bad) == (BadSymbol, "invalid symbol token: '{c}'")
+    assert document(["{p}", "{}"], ["a {u} b", "b {c,} a"]) == (
+        FormatError, "line 7: invalid symbol token: ''",
+    )
 
 
 def parse_peak(text: str) -> int:
