@@ -15,7 +15,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from functools import cache
 
-from .model import Arena, Fsm, ModelError, validate_arena, validate_fsm
+from .model import Arena, Fsm, ModelError, paused_gc, validate_arena, validate_fsm
 from .bisim import BisimError, _blocks, _pairs, _verdict, naive_bisim_oracle, quotient
 from .expand import DEFAULT_MAX_STATES, GuardExceeded, expand, state_count
 from .compositional import (
@@ -358,7 +358,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@paused_gc
 def run(argv=None) -> int:
+    """Run one verb and return its exit status.
+
+    The collector stays paused for the whole verb, not only inside the
+    stages that pause it: a collection between two stages would walk every
+    transition tuple the first one returned.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

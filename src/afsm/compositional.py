@@ -177,8 +177,8 @@ def reduce(arena: Arena, max_states: int = DEFAULT_MAX_STATES):
     a_min = _arena_quotient(arena, classes)
     total = _check_guard(a_min, max_states)
     ex = _Expander(a_min)
-    codes, parts, outputs, succ = ex.explore("full" if ex.initial is None else "accessible", max_states)
-    minimal = ex.minimal(codes, parts, outputs, succ)
+    codes, names, outputs, succ = ex.explore("full" if ex.initial is None else "accessible", max_states)
+    minimal = ex.minimal(codes, names, outputs, succ)
     report = {
         "classes": len(classes.classes),
         "quotient_vertices": len(a_min.vertices),

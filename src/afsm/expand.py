@@ -21,7 +21,9 @@ machine on integers:
   combinations collapse as they arise.
 
 Exploration (:meth:`_Expander.explore`) finds the codes of the states,
-with the parts, output mask and successors of each.  A full expansion is
+with the name, output mask and successors of each; the names come from
+the product of the machines' states, or from the digits of each state
+reached, so no list of part tuples is built.  A full expansion is
 one depth-first walk over prefixes (:meth:`_Expander._walk`).  It fixes the
 vertices' digits in a *nesting order*, and a prefix carries its partial
 code, output mask and successor set.  A vertex's stripped moves depend on
@@ -34,10 +36,13 @@ read the last vertex are computed once per state.  An accessible expansion
 walks from the initial state instead, and folds each state it reaches on
 its own.
 
-Assembly (:meth:`_Expander.assemble`) then builds state names and label and
-output frozensets once each, ranks the names and the labels once, and
-builds the transitions already in canonical order, which ``model._fsm``
-checks in one scan and keeps.
+Assembly (:meth:`_Expander.assemble`) then builds label and output
+frozensets once each, ranks the names and the labels once, and builds the
+transitions already in canonical order, which ``model._fsm`` checks in one
+scan and keeps.  It consumes the successors: once they are sort keys it
+empties their list, and it decodes the sorted keys into transitions in
+place, so each transition is held in one form at a time.  The parts of
+each state are built last, after the machine.
 :meth:`_Expander.minimal` builds instead the minimal machine of the
 explored states: it hands their names, output masks and moves on
 integers to ``bisim._minimal``, which also ends ``bisim.quotient``: it
@@ -68,12 +73,16 @@ from .bisim import _minimal
 from .model import Arena, Fsm, ModelError, _fsm, _index, _label_key, paused_gc
 
 # A full expansion of E. coli's 55,296-state quotient arena (400,000
-# transitions) raises peak RSS from 16.0 MB to 108.1 MB in a fresh
-# CPython 3.11 process: about 1.7 KB per composite state.  10**6 states
-# is then about 1.7 GB, a fifth of an 8 GB machine.
+# transitions) raises peak RSS from 17.6 MB to 82.0 MB in a fresh
+# CPython 3.11 process: about 1.2 KB per composite state.  10**6 states
+# is then about 1.2 GB, a seventh of an 8 GB machine.
 DEFAULT_MAX_STATES = 10**6
 
 PART_SEP = "."
+
+# sorted keys decoded into transitions per slice: a slice's keys and tuples are
+# the only transitions held in two forms at once
+_DECODE_SLICE = 4096
 
 
 class ExpansionError(ModelError):
@@ -259,17 +268,19 @@ class _Expander:
         return frozenset(x for k, x in enumerate(self.symbols) if mask >> k & 1)
 
     def explore(self, mode: str, max_states: int):
-        """Ascending codes of the expansion's states, and their parts, outputs and successors.
+        """Ascending codes of the expansion's states, and their names, outputs and successors.
 
-        ``mode="full"`` takes every code, from :meth:`_walk`;
-        ``mode="accessible"`` walks from the initial state and computes the
-        successors of each state it reaches.  Both are guarded by
-        ``max_states``.
+        ``mode="full"`` takes every code, from :meth:`_walk`, and names the
+        states from the product of the machines' states;
+        ``mode="accessible"`` walks from the initial state, computes the
+        successors of each state it reaches and names it from its digits.
+        No list of part tuples is kept.  Both are guarded by ``max_states``.
         """
         arena = self.arena
         if mode == "full":
             outputs, succ = self._walk(_check_guard(arena, max_states))
-            return range(len(succ)), list(product(*self.state_ids)), outputs, succ
+            names = list(map(composite_name, product(*self.state_ids)))
+            return range(len(succ)), names, outputs, succ
         if self.initial is None:
             raise NoInitialState(
                 f"arena {arena.id}: accessible expansion needs initial states on every machine"
@@ -297,9 +308,13 @@ class _Expander:
                     frontier.append(dst)
         codes = sorted(digits_of)
         digits = [digits_of[c] for c in codes]
-        parts = [tuple(map(getitem, self.state_ids, ds)) for ds in digits]
+        names = list(map(composite_name, self._parts(digits)))
         outputs = [reduce(or_, map(list.__getitem__, self.outputs, ds)) for ds in digits]
-        return codes, parts, outputs, [succ_of[c] for c in codes]
+        return codes, names, outputs, [succ_of[c] for c in codes]
+
+    def _parts(self, digits):
+        """The component state tuple of each digit tuple in ``digits``, one at a time."""
+        return (tuple(map(getitem, self.state_ids, ds)) for ds in digits)
 
     def _nesting_order(self) -> list:
         """The vertices in the order :meth:`_walk` fixes their digits.
@@ -443,57 +458,69 @@ class _Expander:
                 total += len(_fold(*self._moves(digits))) if n is None else n
         return total
 
-    def assemble(self, codes, parts, outputs, succ) -> CompositeFsm:
+    def assemble(self, codes, names, outputs, succ) -> CompositeFsm:
         """The expanded machine on the states ``codes``, from :meth:`explore`'s result.
 
         State names are sorted once and distinct label masks ranked once,
         by ``_label_key``.  Each transition gets one int key of source,
         label and target rank, in bit fields, and the keys are sorted once,
         so each tuple is built once and in canonical order, and
-        ``model._fsm`` keeps them as they are.
+        ``model._fsm`` keeps them as they are.  ``succ`` is consumed: it is
+        emptied once the keys are built, and the sorted keys are decoded
+        into transitions in place, a slice at a time, so no transition is
+        held in two forms at once.  ``parts`` is built last, from the
+        product of the machines' states or from the codes.
         """
         low = (1 << self.shift) - 1
         high = ~low
-        names = list(map(composite_name, parts))
         n = len(names)
         by_name = sorted(range(n), key=names.__getitem__)
         ordered = [names[i] for i in by_name]
         rank = sorted(range(n), key=by_name.__getitem__)  # per position: the rank of its name
         # per code: the rank of its name; a full expansion's codes are positions
         rank_of = rank if isinstance(codes, range) else dict(zip(codes, rank))
+        initial = None if self.initial is None else ordered[rank_of[self.initial]]
         sets = cache(self.symbol_set)  # each distinct mask's frozenset is built once
         masks = sorted({p & high for found in succ for p in found}, key=lambda u: _label_key(sets(u)))
         label_of = list(map(sets, masks))
         tb = n.bit_length()  # key bits: source rank, then label rank, then target rank
         sb = tb + len(masks).bit_length()
         label_rank = {u: r << tb for r, u in enumerate(masks)}
-        keys = [
+        transitions = [
             s + label_rank[p & high] + rank_of[p & low]
             for s, i in zip(range(0, n << sb, 1 << sb), by_name)
             for p in succ[i]
         ]
-        keys.sort()
+        succ.clear()  # every transition is a key now
+        del by_name, rank, rank_of, label_rank  # before the decode and _fsm, which set the peak
+        transitions.sort()
         lm, tm = (1 << sb - tb) - 1, (1 << tb) - 1
-        transitions = [(ordered[k >> sb], label_of[k >> tb & lm], ordered[k & tm]) for k in keys]
-        del keys  # before the machine and its maps are built
+        for i in range(0, len(transitions), _DECODE_SLICE):
+            transitions[i:i + _DECODE_SLICE] = [
+                (ordered[k >> sb], label_of[k >> tb & lm], ordered[k & tm])
+                for k in transitions[i:i + _DECODE_SLICE]
+            ]
         out_map = dict(zip(names, map(sets, outputs)))
-        initial = None if self.initial is None else ordered[rank_of[self.initial]]
         fsm_id, inputs, outputs = self.header
-        fsm = _fsm(fsm_id, ordered, initial, inputs, outputs, out_map, transitions)
+        fsm = _fsm(fsm_id, ordered, initial, inputs, outputs, out_map, transitions, label_of)
+        del transitions, ordered  # the machine holds its own copies
+        if isinstance(codes, range):
+            parts = product(*self.state_ids)
+        else:
+            parts = self._parts(map(self.decode, codes))
         return CompositeFsm(fsm=fsm, vertex_order=self.order, parts=dict(zip(names, parts)))
 
-    def minimal(self, codes, parts, outputs, succ) -> Fsm:
+    def minimal(self, codes, names, outputs, succ) -> Fsm:
         """The minimal machine of the states ``codes``, from :meth:`explore`'s result.
 
         With an initial state, ``codes`` are to be the states it reaches, as
-        an accessible exploration finds them.
+        an accessible exploration finds them.  ``succ`` is left as it is.
         """
         low = (1 << self.shift) - 1
         high = ~low
         at = {c: i for i, c in enumerate(codes)}
         labels = {}  # shifted label mask -> label id
         moves = [[(labels.setdefault(p & high, len(labels)), at[p & low]) for p in s] for s in succ]
-        names = list(map(composite_name, parts))
         start = None if self.initial is None else at[self.initial]
         return _minimal(*self.header, names, outputs, moves, start, labels, cache(self.symbol_set))
 

@@ -229,19 +229,22 @@ def _from_tokens(fsm_id, states, initial, inputs, outputs, output_map, transitio
         raise AlphabetViolation(
             f"fsm {fsm_id}: output of state {s!r} uses undeclared symbols {extra}"
         )
-    if not frozenset().union(*{u for _, u, _ in transitions}) <= inputs:
+    labels = {u for _, u, _ in transitions}
+    if not frozenset().union(*labels) <= inputs:
         s, u, _ = next(t for t in transitions if not t[1] <= inputs)
         raise AlphabetViolation(
             f"fsm {fsm_id}: transition label of {s!r} uses undeclared symbols {sorted(u - inputs)}"
         )
-    return _fsm(fsm_id, states, initial, inputs, outputs, output_map, transitions)
+    return _fsm(fsm_id, states, initial, inputs, outputs, output_map, transitions, labels)
 
 
-def _fsm(fsm_id, states, initial, inputs, outputs, output_map, transitions) -> Fsm:
+def _fsm(fsm_id, states, initial, inputs, outputs, output_map, transitions, labels=None) -> Fsm:
     """The one trusted constructor: an ``Fsm`` in canonical order.
 
     The arguments are trusted to describe a valid machine: distinct state
     ids, and transitions in any order whose endpoints are among them.
+    ``labels``, if given, are the distinct labels of the transitions, which
+    a caller that has them passes so that they are not collected again.
     States are sorted by id, and each state and each distinct label is
     ranked once.  Transitions are ordered by (src, _label_key(label), dst).
     One scan, which stops at the first transition out of that order, keeps
@@ -253,7 +256,9 @@ def _fsm(fsm_id, states, initial, inputs, outputs, output_map, transitions) -> F
     """
     states = sorted(states)
     transitions = tuple(transitions)
-    labels = sorted({u for _, u, _ in transitions}, key=_label_key)
+    if labels is None:
+        labels = {u for _, u, _ in transitions}
+    labels = sorted(labels, key=_label_key)
     n = len(states)
     rank = {s: r for r, s in enumerate(states)}
     label_rank = {u: r * n for r, u in enumerate(labels)}

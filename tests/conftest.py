@@ -11,7 +11,7 @@ import random
 
 from hypothesis import settings, strategies as st
 
-from afsm import validate_arena, validate_fsm
+from afsm import load_fixture, validate_arena, validate_fsm
 
 settings.register_profile(
     "tier1", derandomize=True, database=None, deadline=None, max_examples=150
@@ -95,6 +95,17 @@ def bloated_copy(rng, fsm, new_id):
         new_id, states, fsm.inputs, fsm.outputs, output_map, redirected,
         initial=fsm.initial,
     )
+
+
+def ecoli_subset(*dropped):
+    """``ecoli_min`` of the E. coli fixture without the vertices ``dropped``, as arena ``sub``.
+
+    Without ``AraB`` and ``GalE`` its full product has 3,456 states.
+    """
+    base = load_fixture("ecoli.afsm").arenas["ecoli_min"]
+    vertices = {v: m for v, m in base.vertices if v not in dropped}
+    edges = [(a, b) for a, b in base.edges if a not in dropped and b not in dropped]
+    return validate_arena("sub", vertices, edges)
 
 
 def random_document(rng):

@@ -9,13 +9,16 @@ For the ``ecoli_min`` arena of the E. coli fixture (55,296 states) and for
 ``afsm expand ... -o flat.afsm`` and then ``afsm minimize flat.afsm ...``.
 Each verb runs ``N`` times (default 3), each time in a new interpreter, and
 the script prints one JSON document: the Python version, the core count,
-``PYTHONDONTWRITEBYTECODE``, and per input and verb the peak RSS
-(``ru_maxrss``) and the wall time of every run, with their medians.
-``import_rss_mb`` is the peak RSS of the same process after importing the
-package, before the verb runs.  ``--child VERB ARGS...`` runs one verb in
-this process and prints its figures as one JSON line; the script runs
-each measured verb that way, and it serves to interleave the runs of two
-checkouts.  pytest does not collect this file.
+``PYTHONDONTWRITEBYTECODE``, and per input and verb the peak RSS and the
+wall time of every run, with their medians.  ``import_rss_mb`` is the peak
+RSS of the same process after importing the package, before the verb runs.
+Peak RSS is ``VmHWM`` from ``/proc/self/status``, which a new program
+starts afresh; where there is no ``/proc`` it is ``ru_maxrss``, which on
+Linux a child starts at the peak of the process that launched it.
+``--child VERB ARGS...`` runs one verb in this process and prints its
+figures as one JSON line; the script runs each measured verb that way, and
+it serves to interleave the runs of two checkouts.  pytest does not
+collect this file.
 """
 
 import contextlib
@@ -33,18 +36,29 @@ from pathlib import Path
 DROPPED = "AraB"  # a 4-state vertex of ecoli_min
 
 
+def peak_rss_mb() -> float:
+    """The peak RSS of this process so far, in MB."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024  # in kB
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 def child(argv) -> None:
     """Run one CLI verb in this process and print its peak RSS and wall time."""
     from afsm.cli import run
 
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    before = peak_rss_mb()
     t0 = time.perf_counter()
     with contextlib.redirect_stdout(io.StringIO()):
         code = run(argv)
     wall = time.perf_counter() - t0
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    print(json.dumps({"code": code, "wall_s": wall, "peak_rss_mb": peak / 1024,
-                      "import_rss_mb": before / 1024}))
+    print(json.dumps({"code": code, "wall_s": wall, "peak_rss_mb": peak_rss_mb(),
+                      "import_rss_mb": before}))
 
 
 def subset_document(path: Path) -> None:

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import gc
 import io
 import json
 import re
@@ -16,6 +17,7 @@ import afsm
 from afsm import cli, expand, fixture_path, formats, parse, quotient, reduce, serialize, validate_fsm
 from afsm.cli import run
 from afsm.formats import ModelDocument
+from conftest import ecoli_subset
 
 EUCLID = str(fixture_path("euclid.afsm"))
 COUNTER = str(fixture_path("counterexample.afsm"))
@@ -411,6 +413,41 @@ def test_the_parser_is_built_once_and_keeps_no_state_between_runs(tmp_path, monk
     assert "wrote:" not in out
     assert list(tmp_path.iterdir()) == []
     assert built.count("afsm") == 1
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_a_verb_runs_with_the_collector_paused(tmp_path, enabled):
+    # expand hands 16,000 transition tuples to the writer: a collection
+    # between the two, once the expansion has resumed the collector, would
+    # walk them all.  The collector may run once the verb has returned and
+    # freed them, so collections are counted as run returns.
+    arena = ecoli_subset("AraB", "GalE")
+    doc = ModelDocument(fsms={m.id: m for _, m in arena.vertices}, arenas={"sub": arena})
+    path = tmp_path / "sub.afsm"
+    path.write_text(serialize(doc), encoding="utf-8")
+    argv = ["expand", str(path), "sub", "-o", str(tmp_path / "flat.afsm")]
+    started = []
+
+    def spy(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    was = gc.isenabled()
+    out = io.StringIO()
+    (gc.enable if enabled else gc.disable)()
+    gc.callbacks.append(spy)
+    try:
+        with contextlib.redirect_stdout(out):
+            before = len(started)
+            code = run(argv)
+            fired = len(started) - before
+            after = gc.isenabled()
+    finally:
+        gc.callbacks.remove(spy)
+        (gc.enable if was else gc.disable)()
+    assert code == 0 and "states: 3456" in out.getvalue()
+    assert fired == 0
+    assert after is enabled
 
 
 def test_unknown_verb_exits_with_argparse_error():

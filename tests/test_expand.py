@@ -398,10 +398,11 @@ def test_count_transitions_matches_the_full_expansion(arena):
 
 def assert_the_walk_matches_each_state(arena):
     """``explore("full")`` against the successors and outputs of each state on its own."""
-    codes, parts, outputs, succ = _Expander(arena).explore("full", 10**5)
+    codes, names, outputs, succ = _Expander(arena).explore("full", 10**5)
     machines = [fsm for _, fsm in arena.vertices]
     assert list(codes) == list(range(state_count(arena)))
-    assert parts == list(itertools.product(*(m.states for m in machines)))
+    parts = list(itertools.product(*(m.states for m in machines)))
+    assert names == list(map(composite_name, parts))
     ref = _Expander(arena)  # its own caches, filled state by state
     for code in codes:
         want = ref.successors(ref.decode(code))
@@ -446,8 +447,9 @@ def test_a_single_move_merges_the_successors_it_makes_equal():
     } == {("a0.b0", frozenset({"x"}), "a0.b0")}
     # the machine holds each transition once whatever explore returns, so
     # the successors are counted where the walk writes them
-    _, parts, _, succ = _Expander(arena).explore("full", 1)
-    assert [len(s) for s in succ] == [len(composite_successors(arena, p)) for p in parts] == [1]
+    _, names, _, succ = _Expander(arena).explore("full", 1)
+    assert names == ["a0.b0"]
+    assert [len(s) for s in succ] == [len(composite_successors(arena, ("a0", "b0")))] == [1]
 
 
 @pytest.mark.parametrize("family", ["path", "star"])

@@ -240,27 +240,32 @@ def test_alphabet_faults_come_after_token_faults_and_name_the_first():
     )
 
 
-def parse_peak(text: str) -> int:
-    """The traced peak of ``parse(text)`` in a fresh interpreter.
+def fresh_trace(setup: str, call: str, text: str = "") -> tuple:
+    """The traced (size, peak) of the result of ``call`` in a fresh interpreter.
 
-    Earlier tests in this process can move a peak measured here, so the
-    text is parsed in a new one, which imports the package before tracing.
+    Earlier tests in this process can move a peak measured here, so
+    ``call`` is evaluated in a new one, after ``setup`` has run untraced
+    with ``text`` on its stdin.  The size is what is still traced while
+    the result is held.
     """
     code = (
-        "import sys, tracemalloc\n"
-        "from afsm import parse\n"
-        "text = sys.stdin.read()\n"
+        f"import sys, tracemalloc\n{setup}\n"
         "tracemalloc.start()\n"
-        "parse(text)\n"
-        "print(tracemalloc.get_traced_memory()[1])\n"
+        f"result = {call}\n"
+        "print(*tracemalloc.get_traced_memory())\n"
     )
     src = Path(formats.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(src)}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(Path(__file__).parent)])}
     done = subprocess.run(
         [sys.executable, "-c", code], input=text, env=env, capture_output=True,
         encoding="utf-8", check=True, timeout=60,
     )
-    return int(done.stdout)
+    return tuple(map(int, done.stdout.split()))
+
+
+def parse_peak(text: str) -> int:
+    """The traced peak of ``parse(text)`` in a fresh interpreter."""
+    return fresh_trace("from afsm import parse\ntext = sys.stdin.read()", "parse(text)", text)[1]
 
 
 def random_machine_text() -> str:
@@ -290,6 +295,18 @@ def test_parse_of_canonical_text_builds_no_ordering_tables():
     # with one dict per source state took the peak to about 8 times the text
     text = serialize(parse(random_machine_text()))
     assert parse_peak(text) < 6 * len(text)
+
+
+def test_full_expansion_peak_memory_is_close_to_its_result():
+    # the walk's successor ints, the sort keys and the transition tuples
+    # are never all held at once: the peak was 1.53 times the machine
+    # and its parts when they were, and is about 1.1 times now
+    size, peak = fresh_trace(
+        "from afsm import expand\nfrom conftest import ecoli_subset\n"
+        "arena = ecoli_subset('AraB', 'GalE')",
+        'expand(arena, mode="full")',
+    )
+    assert peak < 1.35 * size
 
 
 def test_equal_symbol_sets_are_one_object():
