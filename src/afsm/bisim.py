@@ -2,11 +2,15 @@
 
 Every question is answered by one partition refinement of the disjoint
 union of the machines involved, on the integer moves that
-``model._index`` gives.  States start grouped by output set; signature
-passes split blocks by their outgoing (label, target-block) sets while
-each pass at least doubles the number of blocks, and the splitter-based
-algorithm of Paige & Tarjan (SIAM J. Comput. 1987) takes over from there,
-so the whole refinement costs O(m log n) for n states and m transitions.
+``model._index`` gives.  States start grouped by output set.  The
+well-founded states, whose every path ends in a state with no move, are
+classed first in one backward pass from those states, as Dovier, Piazza &
+Policriti (TCS 2004) do, at a cost of O(n + m) for n states and m
+transitions; no other state is bisimilar to one of them.  On the other
+states, signature passes split blocks by their outgoing (label,
+target-block) sets while each pass at least doubles the number of blocks,
+and the splitter-based algorithm of Paige & Tarjan (SIAM J. Comput. 1987)
+takes over from there, so that part costs O(m log n).
 Two states are bisimilar iff they share a block, so R*, the bisimilarity
 verdict and the self-partition are read off the block ids that
 :func:`_blocks` returns.  :func:`_minimal` refines a machine given on
@@ -48,19 +52,30 @@ def _refine(n_states, outputs, succ):
     ``outputs[s]`` is the output set of state ``s``; ``succ[s]`` is a list
     of (label_id, target) pairs.  Returns a list mapping state -> block id.
 
-    States start grouped by output set.  A signature pass splits every
-    block by the set of (label, block) pairs its states can move to, at a
-    cost of O(m) for m transitions, and the partition is stable once a pass
-    splits nothing.  Passes repeat while each one at least doubles the
-    number of blocks, so there are at most log2(n) of them; most small
-    machines, and wide ones such as expanded arenas, are stable after two.
-    A pass that splits less hands over to :func:`_split_until_stable`,
-    which finishes in O(m log n) time on inputs, such as long chains, that
-    would need one pass per state.
+    States start grouped by output set.  Where some state has no move,
+    :func:`_peel` classes the well-founded states, those with no path into
+    a cycle, in O(n + m) for m transitions, and hands only the others to
+    :func:`_stabilise`, which refines them in O(m log n).
     """
     by_output = {}
     block = [by_output.setdefault(out, len(by_output)) for out in outputs]
-    n_blocks = len(by_output)
+    if not all(succ):
+        return _peel(n_states, block, succ)
+    return _stabilise(n_states, block, len(by_output), succ)
+
+
+def _stabilise(n_states, block, n_blocks, succ):
+    """Refine ``block``, a partition into ``n_blocks`` blocks, until stable.
+
+    A signature pass splits every block by the set of (label, block) pairs
+    its states can move to, at a cost of O(m), and the partition is stable
+    once a pass splits nothing.  Passes repeat while each one at least
+    doubles the number of blocks, so there are at most log2(n) of them;
+    most small machines, and wide ones such as expanded arenas, are stable
+    after two.  A pass that splits less hands over to
+    :func:`_split_until_stable`, which finishes in O(m log n) time on
+    inputs that would need one pass per state.
+    """
     while True:
         by_sig = {}
         finer = [
@@ -74,6 +89,60 @@ def _refine(n_states, outputs, succ):
         if len(by_sig) < 2 * n_blocks:
             return _split_until_stable(succ, block, finer)
         block, n_blocks = finer, len(by_sig)
+
+
+def _peel(n_states, block, succ):
+    """:func:`_refine` of states 0..n-1, first grouped into ``block``.
+
+    The well-founded states are those whose every path ends in a state
+    with no move; on them bisimilarity is decided bottom-up, as in
+    Dovier, Piazza & Policriti, "An efficient algorithm for computing
+    bisimulation equivalence" (TCS 2004).  They are peeled backwards from
+    the states with no move: a state is classed once every state it moves
+    to is, by its block and the set of (label, class) pairs it can move
+    to, so the pass costs O(n + m).  A well-founded state has no infinite
+    path and every other state has one, so no class mixes the two kinds
+    and the classes are final.  Every other state has a move into the
+    rest, which :func:`_stabilise` refines on its own: its states start
+    grouped by block and by their moves into classes, and only the moves
+    within the rest are kept.  Classes take ids 0..k-1 and the rest's
+    blocks k onwards.
+    """
+    pred = [[] for _ in range(n_states)]
+    for s, moves in enumerate(succ):
+        for _, d in moves:
+            pred[d].append(s)
+    left = list(map(len, succ))  # moves into states not yet classed
+    ready = [s for s in range(n_states) if not left[s]]
+    cls = [None] * n_states
+    by_key = {}
+    for s in ready:  # grows while it is read
+        cls[s] = by_key.setdefault(
+            (block[s], frozenset((lab, cls[d]) for lab, d in succ[s])), len(by_key)
+        )
+        for p in pred[s]:
+            left[p] -= 1
+            if not left[p]:
+                ready.append(p)
+    if len(ready) == n_states:
+        return cls
+    rest = [s for s in range(n_states) if cls[s] is None]
+    index = {s: i for i, s in enumerate(rest)}
+    moves, start, by_start = [], [], {}
+    for s in rest:  # one loop: two comprehensions cost more on small machines
+        inner, fixed = [], []
+        for lab, d in succ[s]:
+            c = cls[d]
+            if c is None:
+                inner.append((lab, index[d]))
+            else:
+                fixed.append((lab, c))
+        moves.append(inner)
+        start.append(by_start.setdefault((block[s], frozenset(fixed)), len(by_start)))
+    k = len(by_key)
+    for s, b in zip(rest, _stabilise(len(rest), start, len(by_start), moves)):
+        cls[s] = k + b
+    return cls
 
 
 def _split_until_stable(succ, coarse, block):

@@ -91,6 +91,49 @@ def test_refinement_matches_the_oracle_on_shrinkable_machines(m1, m2):
     assert max_bisimulation(m1, m2) == naive_bisim_oracle(m1, m2)
 
 
+def _blank(moves):
+    # a machine of blank states on one label, from "p q" move pairs
+    moves = [move.split() for move in moves]
+    states = sorted({s for move in moves for s in move})
+    return validate_fsm(
+        "m", states, ["a"], [], {s: [] for s in states},
+        [(p, ["a"], q) for p, q in moves],
+    )
+
+
+MIXED_SHAPES = {
+    # (moves, bisimilarity classes)
+    # a 3-cycle beside a 3-chain that ends in a deadlock: never bisimilar
+    "cycle beside chain": (
+        ["x0 x1", "x1 x2", "x2 x0", "y0 y1", "y1 y2"],
+        ["x0 x1 x2", "y0", "y1", "y2"],
+    ),
+    # two 2-cycles whose states move into a well-founded tail t0 -> t1,
+    # where they differ, and q, whose only move enters the tail
+    "cycles into a tail": (
+        ["c0 c1", "c1 c0", "c0 t0", "c1 t1", "d0 d1", "d1 d0", "d0 t0", "d1 t1",
+         "t0 t1", "q t0"],
+        ["c0 d0", "c1 d1", "q", "t0", "t1"],
+    ),
+    # f and f2 fan out on one label into a loop and a deadlock; g only
+    # moves into the loop and h only into the deadlock
+    "fan into cycle and tail": (
+        ["f x", "f t", "x x", "f2 x2", "f2 t2", "x2 x2", "g x", "h t"],
+        ["f f2", "g x x2", "h", "t t2"],
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", MIXED_SHAPES)
+def test_refinement_of_well_founded_and_cyclic_states(shape):
+    moves, classes = MIXED_SHAPES[shape]
+    m = _blank(moves)
+    assert set(self_partition(m)) == {frozenset(c.split()) for c in classes}
+    assert max_bisimulation(m, m) == naive_bisim_oracle(m, m)
+    rng = random.Random(2020)
+    assert is_isomorphic(renamed_copy(rng, m, "r1"), renamed_copy(rng, m, "r2"))
+
+
 def test_refinement_splits_by_both_halves_of_a_split_block():
     # {y1, y2, y3} splits into {y1} and {y2, y3} only once z1 and z2 are
     # told apart.  p moves into both halves, q only into the smaller half
@@ -114,29 +157,43 @@ def test_refinement_splits_by_both_halves_of_a_split_block():
     assert max_bisimulation(m, m) == naive_bisim_oracle(m, m)
 
 
-def _chain(n, hub):
+def _chain(n, hub, loop=False):
     # c0 -> c1 -> ... -> c{n-1}, where only the last state outputs end, so
     # each state is told apart only by its distance to the end; the hub has
-    # a move on the same label to every chain state
+    # a move on the same label to every chain state.  With the loop, the
+    # last state moves to itself, so no state is well-founded.
     states = [f"c{i}" for i in range(n)] + ["hub"] * hub
     output_map = {s: [] for s in states}
     output_map[f"c{n - 1}"] = ["end"]
     transitions = [(f"c{i}", ["a"], f"c{i + 1}") for i in range(n - 1)]
     transitions += [("hub", ["a"], f"c{i}") for i in range(n)] * hub
+    transitions += [(f"c{n - 1}", ["a"], f"c{n - 1}")] * loop
     return validate_fsm("chain", states, ["a"], ["end"], output_map, transitions)
 
 
-@pytest.mark.parametrize("hub", [False, True])
-def test_refinement_of_long_chains_is_not_quadratic(hub):
+@pytest.mark.parametrize(
+    "hub, loop",
+    [(False, False), (True, False), (False, True), (True, True)],
+    ids=["False", "True", "looped", "hub-looped"],
+)
+def test_refinement_of_long_chains_is_not_quadratic(monkeypatch, hub, loop):
     # a refinement that recomputes signatures per round needs n rounds
-    # here, about 30 s at n = 4,000; O(m log n) takes milliseconds
+    # here, about 30 s at n = 4,000; peeling the well-founded states from
+    # the end takes one pass, and the splitter-based O(m log n) refinement
+    # of the looped chains takes milliseconds
+    calls = []
+    split = bisim._split_until_stable
+    monkeypatch.setattr(
+        bisim, "_split_until_stable", lambda *a: calls.append(1) or split(*a)
+    )
     n = 4000
-    m = _chain(n, hub)
+    m = _chain(n, hub, loop)
     t0 = time.perf_counter()
     blocks = self_partition(m)
     elapsed = time.perf_counter() - t0
     assert len(blocks) == n + hub
     assert elapsed < 1.0
+    assert len(calls) == loop
 
 
 def test_oracle_guard():
