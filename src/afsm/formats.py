@@ -21,14 +21,16 @@ transitions lexicographically, set members alphabetically), uses UTF-8,
 LF line endings and two-space indentation, so serialization is a fixpoint
 of parse-then-serialize.
 
-:func:`parse` reads a str or an open text file a block at a time, splits
-each block into lines and releases them once read, so it holds a large
-machine once and never the whole text of a file.  Every token and every
-state a transition names is checked at its line, and a transition holds
-the id objects its ``state`` lines declared and the one checked frozenset
-of its label text.  At ``end``, ``model._from_tokens`` checks only what
-tokens cannot show and keeps those tuples, and transitions read in
-canonical order stay in that order.
+:func:`parse` reads a str or an open text file a block at a time and
+releases each block once read, so it holds a large machine once and never
+the whole text of a file.  A block of canonical transition lines is read
+whole, a slice of its tokens at a time; every other block is read one
+line at a time.  Every token and every state a transition names is
+checked at its line, and a transition holds the id objects its ``state``
+lines declared and the one checked frozenset of its label text.  At
+``end``, ``model._from_tokens`` and ``model._arena`` check only what
+tokens cannot show, and transitions read in canonical order stay in that
+order.
 :func:`serialize` joins blocks of lines that the CLI writes to a file one
 at a time.
 """
@@ -46,15 +48,16 @@ from .model import (
     Fsm,
     MissingState,
     ModelError,
+    _arena,
     _from_tokens,
     _token,
     paused_gc,
     symbol_set,
-    validate_arena,
 )
 
 _SET_RE = re.compile(r"\{([^{}]*)\}\Z")
 _BLOCK = 1 << 16  # characters read at a time
+_SLICE = 1 << 13  # characters of a canonical transition block tokenised at a time
 _LINES = 1 << 10  # lines written at a time
 
 
@@ -109,28 +112,67 @@ def _parse_set(tok: str, line_no: int) -> frozenset:
     return _at(line_no, symbol_set, body.split(",") if body else [])
 
 
-def _lines(text):
-    """The lines of a str or an open text file, as ``str.splitlines`` numbers them.
+def _blocks(text):
+    """A str or an open text file, ``_BLOCK`` characters at a time, cut at line ends.
 
-    The text is read ``_BLOCK`` characters at a time, cut after the last
-    ``\\n`` read and split, and the rest is carried into the next read,
-    so the lines of a large document are never all held at once.
+    Each read is cut after the last ``\\n`` in it and the rest is carried
+    into the next read, so only the last block may end without one.
     ``\\r\\n`` is the only line break longer than one character, so no
-    break straddles a cut.
+    break straddles a cut, and the blocks' ``str.splitlines`` are those of
+    the whole text.
     """
     if isinstance(text, str):
-        blocks = (text[i:i + _BLOCK] for i in range(0, len(text), _BLOCK))
+        reads = (text[i:i + _BLOCK] for i in range(0, len(text), _BLOCK))
     else:
-        blocks = iter(partial(text.read, _BLOCK), "")
+        reads = iter(partial(text.read, _BLOCK), "")
     rest = ""
-    for block in blocks:
-        cut = block.rfind("\n") + 1
+    for read in reads:
+        cut = read.rfind("\n") + 1
         if cut:
-            yield from (rest + block[:cut]).splitlines()
-            rest = block[cut:]
+            yield rest + read[:cut]
+            rest = read[cut:]
         else:
-            rest += block
-    yield from rest.splitlines()
+            rest += read
+    if rest:
+        yield rest
+
+
+def _whole(block: str, ids: dict, symbols, trans: list) -> int:
+    """Read ``block`` whole if it is a run of canonical ``trans`` lines; its line count or 0.
+
+    A canonical line is ``  trans SRC {LABELS} DST`` and ends with
+    ``\\n``.  The block must be ASCII, hold no ``#`` and no other line
+    break, and no declared state may be named ``trans``; then a line head
+    can be read neither as an endpoint nor as a label, so when the
+    tokens number four per line, the heads fall on every fourth token.
+    The block is tokenised in slices of about ``_SLICE`` characters, cut
+    at line ends, and its endpoints and labels are looked up a slice at
+    a time.  On any miss, ``trans`` is left as it was and the caller
+    reads the block a line at a time, which reports the fault at its line.
+    """
+    n = block.count("\n")
+    if not (
+        block.startswith("  trans ") and block.endswith("\n")
+        and block.count("\n  trans ") == n - 1 and block.isascii()
+        and not any(map(block.__contains__, "#\r\v\f\x1c\x1d\x1e")) and "trans" not in ids
+    ):
+        return 0
+    kept, start, state = len(trans), 0, ids.__getitem__
+    while start < len(block):
+        end = block.find("\n", start + _SLICE) + 1 or len(block)
+        toks = block[start:end].split()
+        if len(toks) == 4 * block.count("\n", start, end):
+            try:
+                trans += zip(
+                    map(state, toks[1::4]), map(symbols, toks[2::4]), map(state, toks[3::4])
+                )
+                start = end
+                continue
+            except (KeyError, FormatError):
+                pass
+        del trans[kept:]
+        return 0
+    return n
 
 
 def parse(text: str | TextIO, source: str | None = None) -> ModelDocument:
@@ -146,123 +188,146 @@ def _parse(text, source):
     """:func:`parse`, which the CLI calls with an open file."""
     doc = ModelDocument(source=source)
     block = None  # None | ("fsm", name, acc) | ("arena", name, acc)
-    ids = None  # while an fsm block is open: each declared state id -> itself
+    # while an fsm block is open: each declared state id -> itself, and the
+    # block's output map and transitions
+    ids = omap = trans = None
+    line_no = 0
 
     @cache  # each distinct set text is checked once, at the line that first reads it
     def symbols(tok: str) -> frozenset:
         return _parse_set(tok, line_no)
 
-    for line_no, line in enumerate(_lines(text), start=1):
-        if "#" in line:
-            line = line[:line.index("#")]
-        # tokens are runs of non-space; sets keep their braces as one token
-        toks = line.split()
-        if not toks:
-            continue
-        kw = toks[0]
+    for text_block in _blocks(text):
+        if ids is not None:
+            read = _whole(text_block, ids, symbols, trans)
+            if read:
+                line_no += read
+                continue
+        hashed = "#" in text_block
+        for line_no, line in enumerate(text_block.splitlines(), line_no + 1):
+            if hashed and "#" in line:
+                line = line[:line.index("#")]
+            # tokens are runs of non-space; sets keep their braces as one token
+            toks = line.split()
+            if not toks:
+                continue
+            kw = toks[0]
 
-        # the directive of most lines, so it is dispatched first; the
-        # transition holds the declared id objects, not the line's copies
-        if kw == "trans" and ids is not None:
-            if len(toks) != 4:
-                raise FormatError("'trans' takes source, label set, target", line_no)
-            _, src, label, dst = toks
-            try:
-                src, dst = ids[src], ids[dst]
-            except KeyError:  # a declared state is a valid token, so only a miss is checked
-                _at(line_no, _token, "state id", src)
-                _at(line_no, _token, "state id", dst)
-                side, sid = ("source", src) if src not in ids else ("target", dst)
-                raise MissingStateAtLine(
-                    f"transition {side} {sid!r} is not a declared state", line_no
-                ) from None
-            trans.append((src, symbols(label), dst))
-            continue
-
-        if kw in ("fsm", "arena"):
-            if block is not None:
-                raise FormatError(f"'{kw}' inside an open block; missing 'end'?", line_no)
-            if len(toks) != 2:
-                raise FormatError(f"'{kw}' takes exactly one name", line_no)
-            name = _at(line_no, _token, f"{kw} name", toks[1])
-            if name in doc.fsms or name in doc.arenas:
-                raise DuplicateName(f"duplicate definition of {name!r}", line_no)
-            if kw == "fsm":
-                ids, trans = {}, []
-                block = ("fsm", name, {
-                    "inputs": None, "outputs": None, "states": {},
-                    "initial": None, "line": line_no,
-                })
-            else:
-                block = ("arena", name, {"nodes": {}, "edges": [], "line": line_no})
-            continue
-
-        if block is None:
-            raise FormatError(f"directive {kw!r} outside any block", line_no)
-
-        kind, name, acc = block
-
-        if kw == "end":
-            if len(toks) != 1:
-                raise FormatError("'end' takes no arguments", line_no)
-            try:
-                if kind == "fsm":
-                    doc.fsms[name] = _from_tokens(
-                        name, ids, acc["initial"], acc["inputs"] or frozenset(),
-                        acc["outputs"] or frozenset(), acc["states"], trans,
-                    )
-                else:
-                    vertices = {v: doc.fsms[n] for v, n in acc["nodes"].items()}
-                    doc.arenas[name] = validate_arena(name, vertices, acc["edges"])
-            except ModelError as exc:
-                raise FormatError(str(exc), acc["line"]) from exc
-            block = ids = trans = None
-            continue
-
-        if kind == "fsm":
-            if kw in ("inputs", "outputs"):
-                if len(toks) != 2:
-                    raise FormatError(f"'{kw}' takes one symbol set", line_no)
-                if acc[kw] is not None:
-                    raise FormatError(f"duplicate '{kw}' directive", line_no)
-                acc[kw] = symbols(toks[1])
-            elif kw == "state":
+            # the directives of most lines, so they are dispatched first; the
+            # transition holds the declared id objects, not the line's copies
+            if kw == "trans" and ids is not None:
+                if len(toks) != 4:
+                    raise FormatError("'trans' takes source, label set, target", line_no)
+                _, src, label, dst = toks
+                try:
+                    src, dst = ids[src], ids[dst]
+                except KeyError:  # a declared state is a valid token, so only a miss is checked
+                    _at(line_no, _token, "state id", src)
+                    _at(line_no, _token, "state id", dst)
+                    side, sid = ("source", src) if src not in ids else ("target", dst)
+                    raise MissingStateAtLine(
+                        f"transition {side} {sid!r} is not a declared state", line_no
+                    ) from None
+                trans.append((src, symbols(label), dst))
+                continue
+            if kw == "state" and ids is not None:
                 if len(toks) != 3:
                     raise FormatError("'state' takes an id and an output set", line_no)
-                sid = _at(line_no, _token, "state id", toks[1])
-                if sid in acc["states"]:
+                _, sid, out = toks
+                try:
+                    _token("state id", sid)
+                except ModelError:
+                    _at(line_no, _token, "state id", sid)
+                if sid in ids:
                     raise DuplicateName(f"duplicate state {sid!r}", line_no)
-                acc["states"][sid] = symbols(toks[2])
+                omap[sid] = symbols(out)
                 ids[sid] = sid
-            elif kw == "initial":
+                continue
+
+            if kw in ("fsm", "arena"):
+                if block is not None:
+                    raise FormatError(f"'{kw}' inside an open block; missing 'end'?", line_no)
                 if len(toks) != 2:
-                    raise FormatError("'initial' takes one state id", line_no)
-                if acc["initial"] is not None:
-                    raise FormatError("at most one 'initial' directive is allowed", line_no)
-                acc["initial"] = _at(line_no, _token, "state id", toks[1])
+                    raise FormatError(f"'{kw}' takes exactly one name", line_no)
+                name = _at(line_no, _token, f"{kw} name", toks[1])
+                if name in doc.fsms or name in doc.arenas:
+                    raise DuplicateName(f"duplicate definition of {name!r}", line_no)
+                if kw == "fsm":
+                    ids, omap, trans = {}, {}, []
+                    block = ("fsm", name, {
+                        "inputs": None, "outputs": None, "initial": None, "line": line_no,
+                    })
+                else:
+                    block = ("arena", name, {"nodes": {}, "edges": [], "line": line_no})
+                continue
+
+            if block is None:
+                raise FormatError(f"directive {kw!r} outside any block", line_no)
+
+            kind, name, acc = block
+
+            if kw == "end":
+                if len(toks) != 1:
+                    raise FormatError("'end' takes no arguments", line_no)
+                try:
+                    if kind == "fsm":
+                        trans = tuple(trans)  # drops the list before the machine is built
+                        doc.fsms[name] = _from_tokens(
+                            name, ids, acc["initial"], acc["inputs"] or frozenset(),
+                            acc["outputs"] or frozenset(), omap, trans,
+                        )
+                    else:
+                        doc.arenas[name] = _arena(name, acc["nodes"].items(), acc["edges"])
+                except ModelError as exc:
+                    raise FormatError(str(exc), acc["line"]) from exc
+                block = ids = omap = trans = None
+                continue
+
+            if kind == "fsm":
+                if kw in ("inputs", "outputs"):
+                    if len(toks) != 2:
+                        raise FormatError(f"'{kw}' takes one symbol set", line_no)
+                    if acc[kw] is not None:
+                        raise FormatError(f"duplicate '{kw}' directive", line_no)
+                    acc[kw] = symbols(toks[1])
+                elif kw == "initial":
+                    if len(toks) != 2:
+                        raise FormatError("'initial' takes one state id", line_no)
+                    if acc["initial"] is not None:
+                        raise FormatError("at most one 'initial' directive is allowed", line_no)
+                    acc["initial"] = _at(line_no, _token, "state id", toks[1])
+                else:
+                    raise FormatError(f"unknown directive {kw!r} in fsm block", line_no)
             else:
-                raise FormatError(f"unknown directive {kw!r} in fsm block", line_no)
-        else:
-            if kw == "node":
-                if len(toks) != 3:
-                    raise FormatError("'node' takes a vertex id and a machine name", line_no)
-                vid = _at(line_no, _token, "vertex id", toks[1])
-                if vid in acc["nodes"]:
-                    raise DuplicateName(f"duplicate vertex {vid!r}", line_no)
-                fsm_name = _at(line_no, _token, "machine name", toks[2])
-                # blocks do not nest, so every machine an arena can use is
-                # already defined when its node line is read
-                if fsm_name not in doc.fsms:
-                    raise FormatError(
-                        f"arena {name!r}: unknown machine {fsm_name!r}", line_no
-                    )
-                acc["nodes"][vid] = fsm_name
-            elif kw == "edge":
-                if len(toks) != 3:
-                    raise FormatError("'edge' takes two vertex ids", line_no)
-                acc["edges"].append(tuple(_at(line_no, _token, "vertex id", v) for v in toks[1:]))
-            else:
-                raise FormatError(f"unknown directive {kw!r} in arena block", line_no)
+                if kw == "node":
+                    if len(toks) != 3:
+                        raise FormatError("'node' takes a vertex id and a machine name", line_no)
+                    _, vid, fsm_name = toks
+                    try:
+                        _token("vertex id", vid)
+                    except ModelError:
+                        _at(line_no, _token, "vertex id", vid)
+                    if vid in acc["nodes"]:
+                        raise DuplicateName(f"duplicate vertex {vid!r}", line_no)
+                    # blocks do not nest, so every machine an arena can use is
+                    # already defined, and its name checked, when its node line is read
+                    if fsm_name not in doc.fsms:
+                        _at(line_no, _token, "machine name", fsm_name)
+                        raise FormatError(
+                            f"arena {name!r}: unknown machine {fsm_name!r}", line_no
+                        )
+                    acc["nodes"][vid] = doc.fsms[fsm_name]
+                elif kw == "edge":
+                    if len(toks) != 3:
+                        raise FormatError("'edge' takes two vertex ids", line_no)
+                    _, src, dst = toks
+                    try:
+                        acc["edges"].append((_token("vertex id", src), _token("vertex id", dst)))
+                    except ModelError:
+                        _at(line_no, _token, "vertex id", src)
+                        _at(line_no, _token, "vertex id", dst)
+                else:
+                    raise FormatError(f"unknown directive {kw!r} in arena block", line_no)
 
     if block is not None:
         raise FormatError(f"unterminated {block[0]} block {block[1]!r}", line_no)

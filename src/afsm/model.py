@@ -66,15 +66,19 @@ class UnknownMachine(ModelError):
 
 
 def _token(kind: str, name: str, error=ModelError) -> str:
-    """Validate and intern one token; the only reader of ``TOKEN_RE``."""
+    """Validate one token and return it; the only reader of ``TOKEN_RE``.
+
+    Ids are not interned: a machine's transitions share its declared id
+    objects, and the interned-string table never shrinks.
+    """
     if not isinstance(name, str) or not TOKEN_RE.match(name):
         raise error(f"invalid {kind} token: {name!r}")
-    return sys.intern(name)
+    return name
 
 
 def symbol(name: str) -> str:
     """Validate and intern a single symbol token."""
-    return _token("symbol", name, BadSymbol)
+    return sys.intern(_token("symbol", name, BadSymbol))
 
 
 def symbol_set(names: Iterable[str]) -> SymbolSet:
@@ -91,7 +95,7 @@ class Fsm:
     """A canonically ordered finite state machine.
 
     :func:`validate_fsm` is the checked way to build one from a raw
-    description: it checks and interns every token, and hands the parts
+    description: it checks every token, and hands the parts
     to :func:`_from_tokens`, which checks the rest.  ``formats.parse``,
     which checks every token at its line, calls :func:`_from_tokens`
     itself.  :func:`_fsm`, which trusts its arguments and puts them in
@@ -157,14 +161,14 @@ def validate_fsm(
 ) -> Fsm:
     """Validate a raw machine description and return a canonical ``Fsm``.
 
-    Every id and symbol is checked and interned here, and every state
-    referred to is looked up among the declared ones; :func:`_from_tokens`
-    checks the rest and :func:`_fsm` puts the result in canonical order, so
-    equal raw descriptions always produce identical machines.  Each
-    distinct symbol set is checked once.
+    Every id and symbol is checked here and every symbol interned, and
+    every state referred to is looked up among the declared ones;
+    :func:`_from_tokens` checks the rest and :func:`_fsm` puts the result
+    in canonical order, so equal raw descriptions always produce identical
+    machines.  Each distinct symbol set is checked once.
     """
     fsm_id = _token("fsm id", fsm_id)
-    # an equal string -> the interned id, in id order
+    # an equal string -> the declared id, in id order
     declared = {s: s for s in sorted({_token("state id", s) for s in states})}
     inp = symbol_set(inputs)
     out = symbol_set(outputs)
@@ -204,6 +208,7 @@ def validate_fsm(
             raise MissingState(f"fsm {fsm_id}: transition target {dst!r} is not declared")
         trans.append((s, checked(label), d))
 
+    trans = tuple(trans)  # drops the list before the machine is built
     return _from_tokens(fsm_id, omap, initial, inp, out, omap, trans)
 
 
@@ -211,9 +216,10 @@ def _from_tokens(fsm_id, states, initial, inputs, outputs, output_map, transitio
     """An ``Fsm`` from parts whose tokens are already checked.
 
     The parts are trusted to be as :func:`validate_fsm` makes them:
-    interned ids, distinct states that are exactly the keys of
-    ``output_map``, frozensets of interned symbols, and a list of
-    transition tuples between declared states.  Checked here is what
+    checked ids, distinct states that are exactly the keys of
+    ``output_map``, frozensets of interned symbols, and a tuple of
+    transition tuples between declared states, which the machine keeps
+    if they are in canonical order.  Checked here is what
     tokens cannot show: that there is a state, that ``initial`` is
     declared, and that each distinct output set and label lies within its
     alphabet.  A violation names the least state id with such an output
@@ -353,21 +359,37 @@ def validate_arena(
     vertices: Mapping[str, Fsm],
     edges: Iterable[tuple],
 ) -> Arena:
-    """Validate a raw arena description against a library of machines."""
-    arena_id = _token("arena id", arena_id)
-    if not vertices:
-        raise ModelError(f"arena {arena_id}: at least one vertex is required")
+    """Validate a raw arena description against a library of machines.
+
+    Every id is checked here, each just before :func:`_arena` reads it,
+    so the first fault of the description is the one reported;
+    :func:`_arena` checks the rest.
+    """
+    return _arena(
+        _token("arena id", arena_id),
+        ((_token("vertex id", v), fsm) for v, fsm in vertices.items()),
+        ((_token("vertex id", a), _token("vertex id", b)) for a, b in edges),
+    )
+
+
+def _arena(arena_id, vertices, edges) -> Arena:
+    """An ``Arena`` from (vertex, machine) and (source, target) pairs of checked ids.
+
+    Checked here is what ids cannot show: that each vertex carries a
+    machine, that there is a vertex, and that each edge joins two distinct
+    vertices.  Equal edges collapse into one.  ``formats.parse``, which
+    checks every id at its line, calls this itself.
+    """
     vmap = {}
-    for v, fsm in vertices.items():
-        v = _token("vertex id", v)
+    for v, fsm in vertices:
         if not isinstance(fsm, Fsm):
             raise UnknownMachine(f"arena {arena_id}: vertex {v!r} has no machine attached")
         vmap[v] = fsm
+    if not vmap:
+        raise ModelError(f"arena {arena_id}: at least one vertex is required")
 
     edge_set = set()
     for a, b in edges:
-        a = _token("vertex id", a)
-        b = _token("vertex id", b)
         if a == b:
             raise SelfLoop(f"arena {arena_id}: self-loop on vertex {a!r}")
         if a not in vmap:

@@ -7,10 +7,15 @@ minimal arenas.
 """
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import settings, strategies as st
 
+import afsm
 from afsm import load_fixture, validate_arena, validate_fsm
 
 settings.register_profile(
@@ -210,3 +215,44 @@ def hyp_machines(draw, fid):
     ), max_size=6)):
         transitions.update((src, label, dst) for dst in targets)
     return validate_fsm(fid, states, ["a", "b"], ["end"], output_map, transitions)
+
+
+def fresh_trace(setup: str, call: str, text: str = "") -> tuple:
+    """The traced (size, peak) of the result of ``call`` in a fresh interpreter.
+
+    Earlier tests in this process can move a peak measured here, so
+    ``call`` is evaluated in a new one, after ``setup`` has run untraced
+    with ``text`` on its stdin.  The size is what is still traced while
+    the result is held.
+    """
+    code = (
+        f"import sys, tracemalloc\n{setup}\n"
+        "tracemalloc.start()\n"
+        f"result = {call}\n"
+        "print(*tracemalloc.get_traced_memory())\n"
+    )
+    src = Path(afsm.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(Path(__file__).parent)])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], input=text, env=env, capture_output=True,
+        encoding="utf-8", check=True, timeout=60,
+    )
+    return tuple(map(int, done.stdout.split()))
+
+
+def parse_peak(text: str) -> int:
+    """The traced peak of ``parse(text)`` in a fresh interpreter."""
+    return fresh_trace("from afsm import parse\ntext = sys.stdin.read()", "parse(text)", text)[1]
+
+
+def random_machine_text() -> str:
+    """A 2,000-state machine of 12,000 transitions, listed in no particular order."""
+    rng = random.Random(2)
+    n, labels = 2000, ("{}", "{a}", "{b}", "{a,b}", "{a,c}", "{a,b,c}")
+    text = "fsm big\n  inputs {a,b,c}\n  outputs {y,z}\n"
+    text += "".join(f"  state q{i:04d} {rng.choice(('{}', '{y}', '{y,z}'))}\n" for i in range(n))
+    text += "".join(
+        f"  trans q{rng.randrange(n):04d} {rng.choice(labels)} q{rng.randrange(n):04d}\n"
+        for _ in range(12000)
+    )
+    return text + "  initial q0000\nend\n"

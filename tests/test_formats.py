@@ -1,8 +1,5 @@
-import os
 import random
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -30,7 +27,7 @@ from afsm.formats import (
     serialize_fsm,
 )
 from afsm.model import AlphabetViolation, BadSymbol, MissingState, ModelError
-from conftest import hyp_arenas, random_document
+from conftest import fresh_trace, hyp_arenas, parse_peak, random_document, random_machine_text
 
 FIXTURES = ("euclid.afsm", "counterexample.afsm", "ecoli.afsm")
 
@@ -205,6 +202,43 @@ def test_parsed_transitions_hold_the_declared_state_ids(monkeypatch):
     assert all(id(a) in ids and id(b) in ids for a, _, b in m.transitions)
 
 
+def test_parse_checks_each_arena_token_once(monkeypatch):
+    # node and edge lines are checked at their line, and the arena is
+    # built from them without checking its ids again; a machine name is
+    # looked up among the defined machines, whose names are checked
+    kinds = []
+    token = model._token
+
+    def spy(kind, name, *error):
+        kinds.append(kind)
+        return token(kind, name, *error)
+
+    for module in (model, formats):
+        monkeypatch.setattr(module, "_token", spy)
+    doc = parse(
+        "fsm m\n  inputs {}\n  outputs {}\n  state x {}\nend\n"
+        "arena a\n  node v m\n  node w m\n  node u m\n  edge v w\n  edge w u\nend\n"
+    )
+    assert doc.arenas["a"].edges == (("v", "w"), ("w", "u"))
+    assert [kinds.count(k) for k in ("arena name", "arena id", "vertex id", "machine name")] == [
+        1, 0, 3 + 2 * 2, 0,
+    ]
+    with pytest.raises(FormatError, match="line 7: invalid machine name token: 'm!'"):
+        parse("fsm m\n  inputs {}\n  outputs {}\n  state x {}\nend\narena a\n  node v m!\nend\n")
+
+
+def test_parsed_state_ids_are_not_interned():
+    # a transition shares the declared id object, so interning would only
+    # grow the interned-string table, which never shrinks
+    m = parse(
+        "fsm m\n  inputs {a}\n  outputs {}\n  state parsed_id_7 {}\n"
+        "  trans parsed_id_7 {a} parsed_id_7\nend\n"
+    ).fsms["m"]
+    (sid,) = m.states
+    assert sys.intern("".join(sid)) is not sid
+    assert m.transitions[0][0] is sid
+
+
 def test_alphabet_faults_come_after_token_faults_and_name_the_first():
     # of two alphabet violations, validate_fsm and parse name the least state
     # id with an undeclared output, else the first transition listed with an
@@ -238,47 +272,6 @@ def test_alphabet_faults_come_after_token_faults_and_name_the_first():
     assert document(["{p}", "{}"], ["a {u} b", "b {c,} a"]) == (
         FormatError, "line 7: invalid symbol token: ''",
     )
-
-
-def fresh_trace(setup: str, call: str, text: str = "") -> tuple:
-    """The traced (size, peak) of the result of ``call`` in a fresh interpreter.
-
-    Earlier tests in this process can move a peak measured here, so
-    ``call`` is evaluated in a new one, after ``setup`` has run untraced
-    with ``text`` on its stdin.  The size is what is still traced while
-    the result is held.
-    """
-    code = (
-        f"import sys, tracemalloc\n{setup}\n"
-        "tracemalloc.start()\n"
-        f"result = {call}\n"
-        "print(*tracemalloc.get_traced_memory())\n"
-    )
-    src = Path(formats.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(Path(__file__).parent)])}
-    done = subprocess.run(
-        [sys.executable, "-c", code], input=text, env=env, capture_output=True,
-        encoding="utf-8", check=True, timeout=60,
-    )
-    return tuple(map(int, done.stdout.split()))
-
-
-def parse_peak(text: str) -> int:
-    """The traced peak of ``parse(text)`` in a fresh interpreter."""
-    return fresh_trace("from afsm import parse\ntext = sys.stdin.read()", "parse(text)", text)[1]
-
-
-def random_machine_text() -> str:
-    """A 2,000-state machine of 12,000 transitions, listed in no particular order."""
-    rng = random.Random(2)
-    n, labels = 2000, ("{}", "{a}", "{b}", "{a,b}", "{a,c}", "{a,b,c}")
-    text = "fsm big\n  inputs {a,b,c}\n  outputs {y,z}\n"
-    text += "".join(f"  state q{i:04d} {rng.choice(('{}', '{y}', '{y,z}'))}\n" for i in range(n))
-    text += "".join(
-        f"  trans q{rng.randrange(n):04d} {rng.choice(labels)} q{rng.randrange(n):04d}\n"
-        for _ in range(12000)
-    )
-    return text + "  initial q0000\nend\n"
 
 
 def test_parse_peak_memory_is_a_small_multiple_of_the_text():
@@ -414,8 +407,10 @@ def test_a_text_file_is_read_a_block_at_a_time(tmp_path, monkeypatch, block):
         text = with_every_line_break(rng, serialize(random_document(rng)), "# " + "x" * 3 * block)
         path.write_text(text, encoding="utf-8", newline="")
         with open(path, encoding="utf-8", newline="") as fh:
-            assert list(formats._lines(fh)) == text.splitlines()
-        assert list(formats._lines(text)) == text.splitlines()
+            blocks = list(formats._blocks(fh))
+        assert blocks == list(formats._blocks(text))
+        assert all(b.endswith("\n") for b in blocks[:-1])
+        assert [line for b in blocks for line in b.splitlines()] == text.splitlines()
         with open(path, encoding="utf-8", newline="") as fh:
             assert parse(fh) == parse(text)
         # a fault is reported at the same line from a file as from a str
@@ -428,6 +423,143 @@ def test_a_text_file_is_read_a_block_at_a_time(tmp_path, monkeypatch, block):
         with open(path, encoding="utf-8", newline="") as fh, pytest.raises(FormatError) as from_file:
             parse(fh)
         assert from_str.value.line == from_file.value.line == k + 1
+
+
+def canonical_machine(extra_state=None):
+    """A 300-state machine of 8,000 transitions, and its canonical text of 0.2 MB."""
+    rng = random.Random(21)
+    states = [f"q{i:03d}" for i in range(300)] + [extra_state] * (extra_state is not None)
+    labels = ([], ["a"], ["b"], ["a", "b"], ["a", "b", "c"])
+    trans = [(rng.choice(states), rng.choice(labels), rng.choice(states)) for _ in range(8000)]
+    outputs = {s: rng.choice(([], ["y"])) for s in states}
+    m = validate_fsm("m", states, ["a", "b", "c"], ["y"], outputs, trans, initial="q000")
+    return m, serialize(formats.ModelDocument(fsms={m.id: m}))
+
+
+# (_BLOCK, _SLICE): many blocks of a few slices each, and the defaults
+BLOCK_SIZES = [(1024, 100), (formats._BLOCK, formats._SLICE)]
+
+
+@pytest.mark.parametrize("block, slice_", BLOCK_SIZES)
+def test_a_fault_inside_a_canonical_transition_run_is_read_at_its_line(
+    monkeypatch, block, slice_
+):
+    # a block of canonical transition lines is read whole, and a line that
+    # is not one sends its block through the line-by-line read, which
+    # reads or reports it as it would anywhere else
+    monkeypatch.setattr(formats, "_BLOCK", block)
+    monkeypatch.setattr(formats, "_SLICE", slice_)
+    m, text = canonical_machine()
+    doc = parse(text)
+    assert doc.fsms["m"] == m
+    lines = text.splitlines(keepends=True)
+    first = next(k for k, line in enumerate(lines) if line.startswith("  trans "))
+
+    def edit(k, *new):
+        return "".join(lines[:k] + list(new) + lines[k + 1:])
+
+    def fault(bad):
+        with pytest.raises(FormatError) as exc:
+            parse(bad)
+        return type(exc.value), str(exc.value)
+
+    rng = random.Random(block)
+    for _ in range(3):
+        k = rng.randrange(first + 50, len(lines) - 50)
+        _, src, label, dst = lines[k].split()
+        at = f"line {k + 1}: "
+        arity = (FormatError, at + "'trans' takes source, label set, target")
+        assert fault(edit(k, f"  trans {src} {label}\n")) == arity
+        assert fault(edit(k, f"  trans {src} {label} {dst} {dst}\n")) == arity
+        for brk in "\r\f\x1c":  # each also ends a line
+            assert fault(edit(k, f"  trans {src} {label}{brk}{dst}\n")) == arity
+        assert fault(edit(k, f"  trans ghost {label} {dst}\n")) == (
+            MissingStateAtLine, at + "transition source 'ghost' is not a declared state",
+        )
+        assert fault(edit(k, f"  trans {src} {label} ghost\n")) == (
+            MissingStateAtLine, at + "transition target 'ghost' is not a declared state",
+        )
+        assert fault(edit(k, f"  trans {src} {{a,,b}} {dst}\n")) == (
+            FormatError, at + "invalid symbol token: ''",
+        )
+        assert fault(edit(k, f"  trans {src} {label[:-1]} {dst}\n")) == (
+            FormatError, at + f"expected a symbol set like {{a,b}}, got {label[:-1]!r}",
+        )
+        # a comment, a tab indent and CRLF line ends read the same document
+        assert parse(edit(k, lines[k][:-1] + "  # note\n")) == doc
+        assert parse(edit(k, "\t" + lines[k].lstrip(" "))) == doc
+        assert parse(text.replace("\n", "\r\n")) == doc
+        dropped = m.transitions[k - first]
+        assert parse(edit(k, "# " + lines[k])).fsms["m"] == validate_fsm(
+            "m", m.states, m.inputs, m.outputs, m.output_map,
+            [t for t in m.transitions if t != dropped], initial=m.initial,
+        )
+
+    # with a state named trans, a 3-token line and a 5-token line after it
+    # would read as two canonical lines, so such a machine is read by line
+    m, text = canonical_machine("trans")
+    assert parse(text).fsms["m"] == m
+    lines = text.splitlines(keepends=True)
+    k = len(lines) // 2
+    src, label, dst = lines[k].split()[1:]
+    assert fault(edit(k, f"  trans {src} {label}\n", f"  trans trans {src} {label} {dst}\n")) == (
+        FormatError, f"line {k + 1}: 'trans' takes source, label set, target",
+    )
+
+
+@pytest.mark.parametrize("block, slice_", [(1024, 100), (4096, 1000)])
+def test_whole_reads_agree_with_line_reads_on_edited_text(monkeypatch, block, slice_):
+    # the line-by-line read is the reference: one character of canonical
+    # text replaced or inserted at a token boundary, or deleted there,
+    # reads the same machine, or raises the same fault, with and without
+    # whole reads
+    monkeypatch.setattr(formats, "_BLOCK", block)
+    monkeypatch.setattr(formats, "_SLICE", slice_)
+    text = canonical_machine()[1]
+    text = text[:text.index("\n", 60_000) + 1] + "end\n"  # the states and 2,000 transitions
+    whole = formats._whole
+
+    def outcome(edited, reads_whole):
+        monkeypatch.setattr(formats, "_whole", whole if reads_whole else lambda *args: 0)
+        try:
+            return parse(edited)
+        except FormatError as exc:
+            return type(exc), str(exc)
+
+    rng = random.Random(block)
+    first = text.index("  trans ")
+    boundaries = [i for i in range(first, len(text) - 4) if text[i] in " \n"]
+    edits = ("", " ", "\t", "\n", "\r", "\f", "\x1c", "\x1f", "\x85", "\u2028")
+    edits += ("#", ",", "{", "}", "x")
+    for _ in range(100):
+        i = rng.choice(boundaries) + rng.randrange(2)
+        new = rng.choice(edits)
+        edited = text[:i] + new + text[i + rng.randrange(2):]
+        assert outcome(edited, True) == outcome(edited, False), repr(edited[i - 30:i + 30])
+
+
+@pytest.mark.parametrize("block, slice_", BLOCK_SIZES)
+def test_canonical_transition_blocks_are_read_whole(monkeypatch, block, slice_):
+    # every block that holds only canonical transition lines, and no
+    # other block, is read whole
+    monkeypatch.setattr(formats, "_BLOCK", block)
+    monkeypatch.setattr(formats, "_SLICE", slice_)
+    calls = []
+    whole = formats._whole
+
+    def spy(b, *args):
+        calls.append((b, whole(b, *args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(formats, "_whole", spy)
+    m, text = canonical_machine()
+    assert parse(text).fsms["m"] == m
+    runs = [
+        b for b in formats._blocks(text)
+        if all(line.startswith("  trans ") for line in b.splitlines())
+    ]
+    assert runs and [b for b, read in calls if read] == runs
+    assert all(read == b.count("\n") for b, read in calls if read)
 
 
 def test_serialize_arena_standalone():

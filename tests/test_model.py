@@ -322,6 +322,34 @@ def test_validate_arena_errors():
         validate_arena("a", {}, [])
 
 
+def test_validate_arena_reports_the_first_fault_of_the_description():
+    # each id is checked just before the arena is built from it, so a bad
+    # id comes after a fault of an earlier vertex or edge, and before one
+    # of a later vertex or edge
+    m = make_m1()
+
+    def fault(vertices, edges):
+        with pytest.raises(ModelError) as exc:
+            validate_arena("a", vertices, edges)
+        return type(exc.value), str(exc.value)
+
+    invalid = (ModelError, "invalid vertex id token: 'bad id'")
+    unattached = (UnknownMachine, "arena a: vertex 'v' has no machine attached")
+    assert fault({"v": "no", "bad id": m}, []) == unattached
+    assert fault({"bad id": "no", "v": m}, []) == invalid
+    assert fault({"v": "no"}, [("bad id", "v")]) == unattached
+    assert fault({"v": m}, [("v", "v"), ("bad id", "v")]) == (
+        SelfLoop, "arena a: self-loop on vertex 'v'",
+    )
+    assert fault({"v": m}, [("bad id", "v"), ("v", "v")]) == invalid
+    assert fault({"v": m}, [("v", "ghost"), ("v", "bad id")]) == (
+        DanglingEdge, "arena a: edge target 'ghost' is not a vertex",
+    )
+    assert fault({}, [("bad id", "v")]) == (ModelError, "arena a: at least one vertex is required")
+    with pytest.raises(ModelError, match="invalid arena id token: 'bad id'"):
+        validate_arena("bad id", {}, [])
+
+
 def test_arena_edge_deduplication_and_order():
     m = make_m1()
     arena = validate_arena(
