@@ -21,16 +21,14 @@ transitions lexicographically, set members alphabetically), uses UTF-8,
 LF line endings and two-space indentation, so serialization is a fixpoint
 of parse-then-serialize.
 
-:func:`parse` reads a str or an open text file a block at a time and
-releases each block once read, so it holds a large machine once and never
-the whole text of a file.  A block of canonical transition lines is read
-whole, a slice of its tokens at a time; every other block is read one
-line at a time.  Every token and every state a transition names is
-checked at its line, and a transition holds the id objects its ``state``
-lines declared and the one checked frozenset of its label text.  At
-``end``, ``model._from_tokens`` and ``model._arena`` check only what
-tokens cannot show, and transitions read in canonical order stay in that
-order.
+:func:`parse` reads a str or an open text file a block at a time, reads
+each block a line at a time and releases it once read, so it holds a
+large machine once and never the whole text of a file.  Every token and
+every state a transition names is checked at its line, and a transition
+holds the id objects its ``state`` lines declared and the one checked
+frozenset of its label text.  At ``end``, ``model._from_tokens`` and
+``model._arena`` check only what tokens cannot show, and transitions read
+in canonical order stay in that order.
 :func:`serialize` joins blocks of lines that the CLI writes to a file one
 at a time.
 """
@@ -57,7 +55,6 @@ from .model import (
 
 _SET_RE = re.compile(r"\{([^{}]*)\}\Z")
 _BLOCK = 1 << 16  # characters read at a time
-_SLICE = 1 << 13  # characters of a canonical transition block tokenised at a time
 _LINES = 1 << 10  # lines written at a time
 
 
@@ -137,44 +134,6 @@ def _blocks(text):
         yield rest
 
 
-def _whole(block: str, ids: dict, symbols, trans: list) -> int:
-    """Read ``block`` whole if it is a run of canonical ``trans`` lines; its line count or 0.
-
-    A canonical line is ``  trans SRC {LABELS} DST`` and ends with
-    ``\\n``.  The block must be ASCII, hold no ``#`` and no other line
-    break, and no declared state may be named ``trans``; then a line head
-    can be read neither as an endpoint nor as a label, so when the
-    tokens number four per line, the heads fall on every fourth token.
-    The block is tokenised in slices of about ``_SLICE`` characters, cut
-    at line ends, and its endpoints and labels are looked up a slice at
-    a time.  On any miss, ``trans`` is left as it was and the caller
-    reads the block a line at a time, which reports the fault at its line.
-    """
-    n = block.count("\n")
-    if not (
-        block.startswith("  trans ") and block.endswith("\n")
-        and block.count("\n  trans ") == n - 1 and block.isascii()
-        and not any(map(block.__contains__, "#\r\v\f\x1c\x1d\x1e")) and "trans" not in ids
-    ):
-        return 0
-    kept, start, state = len(trans), 0, ids.__getitem__
-    while start < len(block):
-        end = block.find("\n", start + _SLICE) + 1 or len(block)
-        toks = block[start:end].split()
-        if len(toks) == 4 * block.count("\n", start, end):
-            try:
-                trans += zip(
-                    map(state, toks[1::4]), map(symbols, toks[2::4]), map(state, toks[3::4])
-                )
-                start = end
-                continue
-            except (KeyError, FormatError):
-                pass
-        del trans[kept:]
-        return 0
-    return n
-
-
 def parse(text: str | TextIO, source: str | None = None) -> ModelDocument:
     """Parse a document from a str or an open text file.
 
@@ -198,11 +157,6 @@ def _parse(text, source):
         return _parse_set(tok, line_no)
 
     for text_block in _blocks(text):
-        if ids is not None:
-            read = _whole(text_block, ids, symbols, trans)
-            if read:
-                line_no += read
-                continue
         hashed = "#" in text_block
         for line_no, line in enumerate(text_block.splitlines(), line_no + 1):
             if hashed and "#" in line:
@@ -234,10 +188,7 @@ def _parse(text, source):
                 if len(toks) != 3:
                     raise FormatError("'state' takes an id and an output set", line_no)
                 _, sid, out = toks
-                try:
-                    _token("state id", sid)
-                except ModelError:
-                    _at(line_no, _token, "state id", sid)
+                _at(line_no, _token, "state id", sid)
                 if sid in ids:
                     raise DuplicateName(f"duplicate state {sid!r}", line_no)
                 omap[sid] = symbols(out)
@@ -303,10 +254,7 @@ def _parse(text, source):
                     if len(toks) != 3:
                         raise FormatError("'node' takes a vertex id and a machine name", line_no)
                     _, vid, fsm_name = toks
-                    try:
-                        _token("vertex id", vid)
-                    except ModelError:
-                        _at(line_no, _token, "vertex id", vid)
+                    _at(line_no, _token, "vertex id", vid)
                     if vid in acc["nodes"]:
                         raise DuplicateName(f"duplicate vertex {vid!r}", line_no)
                     # blocks do not nest, so every machine an arena can use is
@@ -321,11 +269,9 @@ def _parse(text, source):
                     if len(toks) != 3:
                         raise FormatError("'edge' takes two vertex ids", line_no)
                     _, src, dst = toks
-                    try:
-                        acc["edges"].append((_token("vertex id", src), _token("vertex id", dst)))
-                    except ModelError:
-                        _at(line_no, _token, "vertex id", src)
-                        _at(line_no, _token, "vertex id", dst)
+                    _at(line_no, _token, "vertex id", src)
+                    _at(line_no, _token, "vertex id", dst)
+                    acc["edges"].append((src, dst))
                 else:
                     raise FormatError(f"unknown directive {kw!r} in arena block", line_no)
 

@@ -425,143 +425,6 @@ def test_a_text_file_is_read_a_block_at_a_time(tmp_path, monkeypatch, block):
         assert from_str.value.line == from_file.value.line == k + 1
 
 
-def canonical_machine(extra_state=None):
-    """A 300-state machine of 8,000 transitions, and its canonical text of 0.2 MB."""
-    rng = random.Random(21)
-    states = [f"q{i:03d}" for i in range(300)] + [extra_state] * (extra_state is not None)
-    labels = ([], ["a"], ["b"], ["a", "b"], ["a", "b", "c"])
-    trans = [(rng.choice(states), rng.choice(labels), rng.choice(states)) for _ in range(8000)]
-    outputs = {s: rng.choice(([], ["y"])) for s in states}
-    m = validate_fsm("m", states, ["a", "b", "c"], ["y"], outputs, trans, initial="q000")
-    return m, serialize(formats.ModelDocument(fsms={m.id: m}))
-
-
-# (_BLOCK, _SLICE): many blocks of a few slices each, and the defaults
-BLOCK_SIZES = [(1024, 100), (formats._BLOCK, formats._SLICE)]
-
-
-@pytest.mark.parametrize("block, slice_", BLOCK_SIZES)
-def test_a_fault_inside_a_canonical_transition_run_is_read_at_its_line(
-    monkeypatch, block, slice_
-):
-    # a block of canonical transition lines is read whole, and a line that
-    # is not one sends its block through the line-by-line read, which
-    # reads or reports it as it would anywhere else
-    monkeypatch.setattr(formats, "_BLOCK", block)
-    monkeypatch.setattr(formats, "_SLICE", slice_)
-    m, text = canonical_machine()
-    doc = parse(text)
-    assert doc.fsms["m"] == m
-    lines = text.splitlines(keepends=True)
-    first = next(k for k, line in enumerate(lines) if line.startswith("  trans "))
-
-    def edit(k, *new):
-        return "".join(lines[:k] + list(new) + lines[k + 1:])
-
-    def fault(bad):
-        with pytest.raises(FormatError) as exc:
-            parse(bad)
-        return type(exc.value), str(exc.value)
-
-    rng = random.Random(block)
-    for _ in range(3):
-        k = rng.randrange(first + 50, len(lines) - 50)
-        _, src, label, dst = lines[k].split()
-        at = f"line {k + 1}: "
-        arity = (FormatError, at + "'trans' takes source, label set, target")
-        assert fault(edit(k, f"  trans {src} {label}\n")) == arity
-        assert fault(edit(k, f"  trans {src} {label} {dst} {dst}\n")) == arity
-        for brk in "\r\f\x1c":  # each also ends a line
-            assert fault(edit(k, f"  trans {src} {label}{brk}{dst}\n")) == arity
-        assert fault(edit(k, f"  trans ghost {label} {dst}\n")) == (
-            MissingStateAtLine, at + "transition source 'ghost' is not a declared state",
-        )
-        assert fault(edit(k, f"  trans {src} {label} ghost\n")) == (
-            MissingStateAtLine, at + "transition target 'ghost' is not a declared state",
-        )
-        assert fault(edit(k, f"  trans {src} {{a,,b}} {dst}\n")) == (
-            FormatError, at + "invalid symbol token: ''",
-        )
-        assert fault(edit(k, f"  trans {src} {label[:-1]} {dst}\n")) == (
-            FormatError, at + f"expected a symbol set like {{a,b}}, got {label[:-1]!r}",
-        )
-        # a comment, a tab indent and CRLF line ends read the same document
-        assert parse(edit(k, lines[k][:-1] + "  # note\n")) == doc
-        assert parse(edit(k, "\t" + lines[k].lstrip(" "))) == doc
-        assert parse(text.replace("\n", "\r\n")) == doc
-        dropped = m.transitions[k - first]
-        assert parse(edit(k, "# " + lines[k])).fsms["m"] == validate_fsm(
-            "m", m.states, m.inputs, m.outputs, m.output_map,
-            [t for t in m.transitions if t != dropped], initial=m.initial,
-        )
-
-    # with a state named trans, a 3-token line and a 5-token line after it
-    # would read as two canonical lines, so such a machine is read by line
-    m, text = canonical_machine("trans")
-    assert parse(text).fsms["m"] == m
-    lines = text.splitlines(keepends=True)
-    k = len(lines) // 2
-    src, label, dst = lines[k].split()[1:]
-    assert fault(edit(k, f"  trans {src} {label}\n", f"  trans trans {src} {label} {dst}\n")) == (
-        FormatError, f"line {k + 1}: 'trans' takes source, label set, target",
-    )
-
-
-@pytest.mark.parametrize("block, slice_", [(1024, 100), (4096, 1000)])
-def test_whole_reads_agree_with_line_reads_on_edited_text(monkeypatch, block, slice_):
-    # the line-by-line read is the reference: one character of canonical
-    # text replaced or inserted at a token boundary, or deleted there,
-    # reads the same machine, or raises the same fault, with and without
-    # whole reads
-    monkeypatch.setattr(formats, "_BLOCK", block)
-    monkeypatch.setattr(formats, "_SLICE", slice_)
-    text = canonical_machine()[1]
-    text = text[:text.index("\n", 60_000) + 1] + "end\n"  # the states and 2,000 transitions
-    whole = formats._whole
-
-    def outcome(edited, reads_whole):
-        monkeypatch.setattr(formats, "_whole", whole if reads_whole else lambda *args: 0)
-        try:
-            return parse(edited)
-        except FormatError as exc:
-            return type(exc), str(exc)
-
-    rng = random.Random(block)
-    first = text.index("  trans ")
-    boundaries = [i for i in range(first, len(text) - 4) if text[i] in " \n"]
-    edits = ("", " ", "\t", "\n", "\r", "\f", "\x1c", "\x1f", "\x85", "\u2028")
-    edits += ("#", ",", "{", "}", "x")
-    for _ in range(100):
-        i = rng.choice(boundaries) + rng.randrange(2)
-        new = rng.choice(edits)
-        edited = text[:i] + new + text[i + rng.randrange(2):]
-        assert outcome(edited, True) == outcome(edited, False), repr(edited[i - 30:i + 30])
-
-
-@pytest.mark.parametrize("block, slice_", BLOCK_SIZES)
-def test_canonical_transition_blocks_are_read_whole(monkeypatch, block, slice_):
-    # every block that holds only canonical transition lines, and no
-    # other block, is read whole
-    monkeypatch.setattr(formats, "_BLOCK", block)
-    monkeypatch.setattr(formats, "_SLICE", slice_)
-    calls = []
-    whole = formats._whole
-
-    def spy(b, *args):
-        calls.append((b, whole(b, *args)))
-        return calls[-1][1]
-
-    monkeypatch.setattr(formats, "_whole", spy)
-    m, text = canonical_machine()
-    assert parse(text).fsms["m"] == m
-    runs = [
-        b for b in formats._blocks(text)
-        if all(line.startswith("  trans ") for line in b.splitlines())
-    ]
-    assert runs and [b for b, read in calls if read] == runs
-    assert all(read == b.count("\n") for b, read in calls if read)
-
-
 def test_serialize_arena_standalone():
     doc = load_fixture("euclid.afsm")
     text = serialize_arena(doc.arenas["euclid"])
