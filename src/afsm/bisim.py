@@ -1,8 +1,9 @@
 """Bisimulation equivalence: maximal relation, decision, quotient, isomorphism.
 
-Every question is answered by one partition refinement of the disjoint
-union of the machines involved, on the integer moves that
-``model._index`` gives.  States start grouped by output set.  The
+Every question is answered by one partition refinement on the integer
+moves that ``model._index`` gives: of the disjoint union of the machines
+involved, or, where initial states decide the answer, of only the part
+of it that they reach.  States start grouped by output set.  The
 well-founded states, whose every path ends in a state with no move, are
 classed first in one backward pass from those states, as Dovier, Piazza &
 Policriti (TCS 2004) do, at a cost of O(n + m) for n states and m
@@ -11,12 +12,15 @@ states, signature passes split blocks by their outgoing (label,
 target-block) sets while each pass at least doubles the number of blocks,
 and the splitter-based algorithm of Paige & Tarjan (SIAM J. Comput. 1987)
 takes over from there, so that part costs O(m log n).
-Two states are bisimilar iff they share a block, so R*, the bisimilarity
-verdict and the self-partition are read off the block ids that
-:func:`_blocks` returns.  :func:`_minimal` refines a machine given on
-integers and builds its minimal machine, each block named after its least
-member; :func:`quotient` hands it the reachable part that ``model._reach``
-walks, and ``expand._Expander.minimal`` the explored part of a product.
+Two states are bisimilar iff they share a block, so R*, the verdict on
+machines without initial states and the self-partition are read off the
+block ids that :func:`_blocks` returns.  :func:`is_bisimilar` of two
+machines with initial states refines only the positions that the two
+initial states reach, as on-the-fly checking does.  :func:`_minimal`
+refines a machine given on integers and builds its minimal machine, each
+block named after its least member; :func:`quotient` hands it the
+reachable part that ``model._reach`` walks, and
+``expand._Expander.minimal`` the explored part of a product.
 :func:`_isomorphism` uses the same refinement, on moves read both ways:
 it pairs one state of each machine by hand and refines again, depth
 first, until every block is one pair.  A brute-force greatest-fixpoint
@@ -24,6 +28,8 @@ oracle over the dense pair table is provided for cross-checking.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 from .model import Fsm, _fsm, _index, _reach, paused_gc
 
@@ -393,13 +399,43 @@ def naive_bisim_oracle(m1: Fsm, m2: Fsm, guard: int = 10**6) -> frozenset:
     return frozenset(rel)
 
 
+@paused_gc
 def is_bisimilar(m1: Fsm, m2: Fsm) -> bool:
     """Decide m1 = m2 up to bisimulation.
 
     The initial pair must be in R*; with no initial states anywhere, R*
     must be total.  Mixed presence raises :class:`InitialStateMismatch`.
+    With two initial states only the part of the disjoint union that they
+    reach decides, as in the on-the-fly checking of Fernandez & Mounier
+    ("On the fly verification of behavioural equivalences and preorders",
+    CAV 1991): both machines are indexed as :func:`_blocks` does, one walk
+    over the integer moves finds the positions the two initial states
+    reach, and only those are refined, renumbered if some are not reached.
     """
-    return _verdict(m1, m2, *_blocks(m1, m2))
+    if m1.initial is None or m2.initial is None:
+        return _verdict(m1, m2, *_blocks(m1, m2))
+    labels = {}
+    n1 = len(m1.states)
+    succ = _index(m1, labels) + _index(m2, labels, n1)
+    i1, i2 = bisect_left(m1.states, m1.initial), n1 + bisect_left(m2.states, m2.initial)
+    reached = [False] * len(succ)
+    reached[i1] = reached[i2] = True
+    found = [i1, i2]
+    add = found.append
+    for p in found:  # grows as the walk reaches new positions
+        for _, d in succ[p]:
+            if not reached[d]:
+                reached[d] = True
+                add(d)
+    outputs = [*map(m1.output_map.__getitem__, m1.states),
+               *map(m2.output_map.__getitem__, m2.states)]
+    if len(found) < len(succ):
+        at = dict(zip(found, range(len(found))))
+        succ = [[(lab, at[d]) for lab, d in succ[p]] for p in found]
+        outputs = [outputs[p] for p in found]
+        i1, i2 = at[i1], at[i2]
+    block = _refine(len(succ), outputs, succ)
+    return block[i1] == block[i2]
 
 
 @paused_gc

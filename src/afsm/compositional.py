@@ -7,6 +7,16 @@ class tokens, edges relabelled with the empty input set).  Compositional
 bisimilarity of two arenas is bisimilarity of their induced machines under
 the totality convention, which never touches the product state space.
 
+After the classes, every verdict is one refinement of the induced
+machines involved, kept on integers: :func:`_induced` gives an arena's
+induced machine as class ordinals and (0, target position) moves, which
+``bisim._refine`` reads as they are.  :func:`is_comp_bisimilar`,
+:func:`comp_bisimulation` and the CLI's ``check-comp-bisim`` read the
+block ids of one refinement of the two arenas' induced machines, and
+:func:`arena_quotient` those of one arena's.  No token, frozenset or
+``Fsm`` is built for them; :func:`induce_fsm` builds the induced machine
+for callers that want to see it.
+
 :func:`reduce` expands only the quotient arena, and of its product only
 the part its minimal machine is built from: the states reachable from the
 initial state when every machine declares one.  It refines that part on
@@ -21,14 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Arena, Fsm, ModelError, _fsm, paused_gc, validate_arena
-from .bisim import (
-    InitialStateMismatch,
-    _blocks,
-    is_bisimilar,
-    max_bisimulation,
-    self_partition,
-)
+from . import bisim  # ``bisim._refine`` is looked up per call, as in ``bisim`` itself
+from .model import Arena, Fsm, ModelError, _arena, _fsm, paused_gc
+from .bisim import InitialStateMismatch, _blocks, _pairs
 from .expand import DEFAULT_MAX_STATES, _check_guard, _Expander
 
 
@@ -95,6 +100,28 @@ def machine_classes(a1: Arena, a2: Arena | None = None) -> MachineClasses:
     return MachineClasses(classes=classes, class_index=index)
 
 
+def _induced(arena: Arena, classes: MachineClasses, arena_index: int = 0, offset: int = 0):
+    """The induced machine of ``arena`` on integers, as :func:`bisim._refine` reads it.
+
+    Returns, per vertex in ``arena.vertices`` order, its class ordinal and
+    its list of (0, ``offset`` + target position) moves, one per edge.
+    A vertex that ``classes`` does not cover raises :class:`ClassCoverageGap`.
+    """
+    index = classes.class_index
+    try:
+        outputs = [index[(arena_index, v)] for v, _ in arena.vertices]
+    except KeyError:
+        v = next(v for v, _ in arena.vertices if (arena_index, v) not in index)
+        raise ClassCoverageGap(
+            f"arena {arena.id}: vertex {v!r} is not covered by the machine classes"
+        ) from None
+    pos = {v: i for i, (v, _) in enumerate(arena.vertices)}
+    succ = [[] for _ in outputs]
+    for a, b in arena.edges:
+        succ[pos[a]].append((0, offset + pos[b]))
+    return outputs, succ
+
+
 def induce_fsm(arena: Arena, classes: MachineClasses, arena_index: int = 0) -> Fsm:
     """The induced machine of an arena: one state per vertex.
 
@@ -102,30 +129,47 @@ def induce_fsm(arena: Arena, classes: MachineClasses, arena_index: int = 0) -> F
     set, and there is no initial state (the decision procedure uses the
     totality convention).
     """
-    for v, _ in arena.vertices:
-        if (arena_index, v) not in classes.class_index:
-            raise ClassCoverageGap(
-                f"arena {arena.id}: vertex {v!r} is not covered by the machine classes"
-            )
+    outputs, succ = _induced(arena, classes, arena_index)
+    ids = arena.vertex_ids
+    tokens = classes.tokens()
+    token_sets = [frozenset({token}) for token in tokens]
+    out_map = {v: token_sets[k] for v, k in zip(ids, outputs)}
     empty = frozenset()
-    out_map = {v: frozenset({classes.token_of(arena_index, v)}) for v in arena.vertex_ids}
-    trans = ((a, empty, b) for a, b in arena.edges)
-    tokens = frozenset(classes.tokens())
-    return _fsm(f"induced_{arena.id}", out_map, None, empty, tokens, out_map, trans)
+    trans = [(v, empty, ids[d]) for v, moves in zip(ids, succ) for _, d in moves]
+    return _fsm(f"induced_{arena.id}", out_map, None, empty, frozenset(tokens), out_map, trans)
+
+
+def _comp_blocks(a1: Arena, a2: Arena, classes: MachineClasses) -> tuple:
+    """Block ids of the vertices of ``a1`` and of ``a2``, in vertex order.
+
+    One refinement of the disjoint union of the two induced machines:
+    two vertices are compositionally bisimilar iff their block ids are
+    equal.
+    """
+    out1, succ1 = _induced(a1, classes, 0)
+    out2, succ2 = _induced(a2, classes, 1, len(out1))
+    block = bisim._refine(len(out1) + len(out2), out1 + out2, succ1 + succ2)
+    return block[: len(out1)], block[len(out1) :]
+
+
+def _comp_pairs(a1: Arena, a2: Arena, b1: list, b2: list) -> frozenset:
+    """The vertex pairs of a1 x a2 with equal block ids, given by :func:`_comp_blocks`."""
+    return _pairs(dict(zip(a1.vertex_ids, b1)), dict(zip(a2.vertex_ids, b2)))
 
 
 def comp_bisimulation(a1: Arena, a2: Arena) -> frozenset:
     """The maximal compositional bisimulation as vertex pairs of a1 x a2."""
-    classes = machine_classes(a1, a2)
-    f1 = induce_fsm(a1, classes, 0)
-    f2 = induce_fsm(a2, classes, 1)
-    return max_bisimulation(f1, f2)
+    return _comp_pairs(a1, a2, *_comp_blocks(a1, a2, machine_classes(a1, a2)))
 
 
 def is_comp_bisimilar(a1: Arena, a2: Arena) -> bool:
-    """Decide compositional bisimilarity via the induced machines."""
-    classes = machine_classes(a1, a2)
-    return is_bisimilar(induce_fsm(a1, classes, 0), induce_fsm(a2, classes, 1))
+    """Decide compositional bisimilarity: both arenas' vertices occupy the same blocks.
+
+    This is bisimilarity of the induced machines under the totality
+    convention, as they have no initial state.
+    """
+    b1, b2 = _comp_blocks(a1, a2, machine_classes(a1, a2))
+    return set(b1) == set(b2)
 
 
 def arena_quotient(arena: Arena) -> Arena:
@@ -141,13 +185,12 @@ def arena_quotient(arena: Arena) -> Arena:
 
 def _arena_quotient(arena: Arena, classes: MachineClasses) -> Arena:
     """:func:`arena_quotient`, given the machine classes of ``arena``."""
-    rep = {}
-    for block in self_partition(induce_fsm(arena, classes, 0)):
-        least = min(block)
-        for v in block:
-            rep[v] = least
-    machines = dict(arena.vertices)
-    vertices = {least: machines[least] for least in set(rep.values())}
+    outputs, succ = _induced(arena, classes)
+    block = bisim._refine(len(outputs), outputs, succ)
+    least = {}  # block -> (its least vertex, its machine); vertices are in id order
+    for (v, fsm), b in zip(arena.vertices, block):
+        least.setdefault(b, (v, fsm))
+    rep = {v: least[b][0] for (v, _), b in zip(arena.vertices, block)}
     edges = set()
     for a, b in arena.edges:
         ra, rb = rep[a], rep[b]
@@ -156,7 +199,7 @@ def _arena_quotient(arena: Arena, classes: MachineClasses) -> Arena:
                 f"arena {arena.id}: edge ({a!r}, {b!r}) connects two vertices of one block"
             )
         edges.add((ra, rb))
-    return validate_arena(f"{arena.id}_min", vertices, edges)
+    return _arena(f"{arena.id}_min", least.values(), edges)
 
 
 @paused_gc

@@ -16,7 +16,18 @@ and message instead.  pytest does not collect this file.
 
 It prints one sha256 per section (the documents; their machines and
 arenas; the random arenas; the random machines), so that a mismatch names
-its section, and last the sha256 over all of them in that order.
+its section, and then the sha256 over all of them in that order.
+
+A last line hashes the verdicts on arena pairs: every ordered pair of
+arenas within each fixture, 1,000 pairs of ``random_arena`` arenas (seed
+13), each arena declaring initial states with probability 0.7, and the
+first arena of each of those pairs with a copy whose every machine is
+``bloated_copy``'d, which it is compositionally bisimilar to.  Per
+pair it hashes ``is_comp_bisimilar``, the sorted ``comp_bisimulation``,
+the ``serialize_arena`` of both ``arena_quotient`` results and, where
+both full expansions have an initial state, ``is_bisimilar`` of those
+expansions.  It is printed apart so that the line before it still
+compares with older versions of this script.
 """
 
 import hashlib
@@ -24,9 +35,21 @@ import os
 import random
 import sys
 
-from afsm import expand, fixture_path, parse, quotient, reduce, serialize
-from afsm.formats import serialize_fsm
-from conftest import random_arena, random_document, random_fsm
+from afsm import (
+    arena_quotient,
+    comp_bisimulation,
+    expand,
+    fixture_path,
+    is_bisimilar,
+    is_comp_bisimilar,
+    parse,
+    quotient,
+    reduce,
+    serialize,
+    validate_arena,
+)
+from afsm.formats import serialize_arena, serialize_fsm
+from conftest import bloated_copy, random_arena, random_document, random_fsm
 
 FIXTURES = ("euclid.afsm", "counterexample.afsm", "ecoli.afsm")
 MAX_STATES = 60_000  # above ecoli_min's 55,296 states
@@ -91,6 +114,35 @@ def random_machine_texts():
         yield machine_text(outcome(quotient, random_fsm(rng)))
 
 
+def arena_pairs():
+    for name in FIXTURES:
+        doc = parse(fixture_path(name).read_text(encoding="utf-8"))
+        arenas = [doc.arenas[k] for k in sorted(doc.arenas)]
+        yield from ((a, b) for a in arenas for b in arenas)
+    rng = random.Random(13)
+    for _ in range(1000):
+        a = random_arena(rng, "a", with_initial=rng.random() < 0.7)
+        yield a, random_arena(rng, "b", with_initial=rng.random() < 0.7)
+        # and a compositionally bisimilar partner: each machine of ``a`` bloated
+        bloated = {v: bloated_copy(rng, fsm, f"{fsm.id}b") for v, fsm in a.vertices}
+        yield a, validate_arena("c", bloated, a.edges)
+
+
+def verdict_texts():
+    for a, b in arena_pairs():
+        yield repr(outcome(is_comp_bisimilar, a, b))
+        rel = outcome(comp_bisimulation, a, b)
+        yield rel if isinstance(rel, str) else repr(sorted(rel))
+        for arena in (a, b):
+            q = outcome(arena_quotient, arena)
+            yield q if isinstance(q, str) else serialize_arena(q)
+        m1, m2 = (outcome(expand, x, mode="full", max_states=MAX_STATES) for x in (a, b))
+        if isinstance(m1, str) or isinstance(m2, str):
+            continue
+        if m1.fsm.initial is not None and m2.fsm.initial is not None:
+            yield repr(is_bisimilar(m1.fsm, m2.fsm))
+
+
 def main() -> None:
     if os.environ.get("PYTHONHASHSEED") != "0":
         os.execve(sys.executable, [sys.executable, *sys.argv], {**os.environ, "PYTHONHASHSEED": "0"})
@@ -110,6 +162,10 @@ def main() -> None:
             digest.update(data)
         print(part.hexdigest(), name)
     print(digest.hexdigest())
+    part = hashlib.sha256()
+    for text in verdict_texts():
+        part.update(text.encode("utf-8") + b"\0")
+    print(part.hexdigest(), "verdicts of arena pairs")
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ from afsm import (
 from afsm.bisim import TooLarge, TooLargeForGeneralIso
 from afsm import cli, compositional
 from afsm.cli import run
-from conftest import bloated_copy, hyp_machines, random_fsm, renamed_copy
+from conftest import bloated_copy, hyp_fsms, hyp_machines, random_fsm, renamed_copy
 
 
 def double_chain():
@@ -89,6 +89,13 @@ def test_oracle_agrees_with_refinement():
 def test_refinement_matches_the_oracle_on_shrinkable_machines(m1, m2):
     assert max_bisimulation(m1, m1) == naive_bisim_oracle(m1, m1)
     assert max_bisimulation(m1, m2) == naive_bisim_oracle(m1, m2)
+
+
+@given(hyp_fsms("x", with_initial=True), hyp_fsms("y", with_initial=True))
+def test_is_bisimilar_with_initial_states_matches_the_oracle(m1, m2):
+    # only the part the two initial states reach is refined; the verdict
+    # is still membership of the initial pair in R* of the whole machines
+    assert is_bisimilar(m1, m2) == ((m1.initial, m2.initial) in naive_bisim_oracle(m1, m2))
 
 
 def _blank(moves):
@@ -327,6 +334,31 @@ def test_quotient_indexes_only_the_reachable_part(monkeypatch):
     assert len(results[1].states) == 3
     assert results[0] == results[1]
     assert counts == [3, 3]
+
+
+def test_is_bisimilar_refines_only_the_reachable_part(monkeypatch):
+    # three reachable states per machine, and 0 or 10,000 moves between
+    # states that the initial state cannot reach: the refinement sees the
+    # same six states, and every state once all are reachable
+    sizes = []
+    refine = bisim._refine
+    monkeypatch.setattr(bisim, "_refine", lambda n, *a: sizes.append(n) or refine(n, *a))
+    island = [f"u{i:02d}" for i in range(100)]
+    for unreachable in ([], [(a, ["a"], b) for a in island for b in island]):
+        m = validate_fsm(
+            "m", ["r0", "r1", "r2", *island], ["a"], ["y"],
+            {s: ["y"] if s == "r2" else [] for s in ["r0", "r1", "r2", *island]},
+            [("r0", ["a"], "r1"), ("r1", ["a"], "r2"), ("r2", [], "r0"), *unreachable],
+            initial="r0",
+        )
+        assert is_bisimilar(m, renamed_copy(random.Random(2012), m, "r"))
+        reachable = validate_fsm(
+            "m", m.states, m.inputs, m.outputs, m.output_map,
+            [*m.transitions, *(("r0", frozenset(), u) for u in island)],
+            initial="r0",
+        )
+        assert is_bisimilar(reachable, reachable)
+    assert sizes == [6, 206, 6, 206]
 
 
 @given(hyp_machines("m"), st.none() | st.integers(0, 13))

@@ -4,9 +4,12 @@ import csv
 import gc
 import io
 import json
+import os
 import re
 import random
 import shlex
+import subprocess
+import sys
 import tracemalloc
 import types
 from pathlib import Path
@@ -68,6 +71,21 @@ def test_check_bisim_witness_lists_pairs():
     assert code == 0
     assert "  1 ~ 1" in out
     assert "  2 ~ 2" in out
+
+
+def test_the_module_runs_as_a_script():
+    # ``python -m afsm.cli`` must run the verb: exiting 0 without one
+    # would read as a positive verdict
+    src = Path(afsm.__file__).resolve().parents[1]
+    for m2, code, verdict in [("M1", 0, "verdict: yes"), ("M2", 1, "verdict: no"), ("M4", 2, None)]:
+        done = subprocess.run(
+            [sys.executable, "-m", "afsm.cli", "check-bisim", EUCLID, "M1", m2],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+            encoding="utf-8", timeout=60,
+        )
+        assert done.returncode == code
+        if verdict is not None:
+            assert verdict in done.stdout.splitlines()
 
 
 def test_unknown_machine_is_a_usage_error():

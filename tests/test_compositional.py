@@ -20,6 +20,7 @@ from afsm import (
     max_bisimulation,
     quotient,
     reduce,
+    self_partition,
     state_count,
     validate_arena,
     validate_fsm,
@@ -142,6 +143,48 @@ def test_comp_bisimulation_matches_induced_machine_bisimulation():
         f2 = induce_fsm(a2, classes, 1)
         assert is_comp_bisimilar(a1, a2) == is_bisimilar(f1, f2)
         assert comp_bisimulation(a1, a2) == max_bisimulation(f1, f2)
+
+
+def _outcome(call, *args):
+    """``call``'s result, or its error class and message."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _induced_quotient(arena):
+    # the arena quotient as the induced machine defines it: one vertex
+    # per block of its self-partition, named after the least member
+    rep = {
+        v: min(block)
+        for block in self_partition(induce_fsm(arena, machine_classes(arena)))
+        for v in block
+    }
+    machines = dict(arena.vertices)
+    edges = set()
+    for a, b in arena.edges:
+        if rep[a] == rep[b]:
+            raise QuotientSelfLoop(
+                f"arena {arena.id}: edge ({a!r}, {b!r}) connects two vertices of one block"
+            )
+        edges.add((rep[a], rep[b]))
+    return validate_arena(f"{arena.id}_min", {v: machines[v] for v in rep.values()}, edges)
+
+
+@given(hyp_arenas(), hyp_arenas())
+def test_integer_compositional_path_matches_the_induced_machines(a1, a2):
+    def on_machines(decide):
+        # ``decide`` on the two induced machines, as the reference path
+        def call(a1, a2):
+            classes = machine_classes(a1, a2)
+            return decide(induce_fsm(a1, classes, 0), induce_fsm(a2, classes, 1))
+        return call
+
+    assert _outcome(is_comp_bisimilar, a1, a2) == _outcome(on_machines(is_bisimilar), a1, a2)
+    assert _outcome(comp_bisimulation, a1, a2) == _outcome(on_machines(max_bisimulation), a1, a2)
+    for arena in (a1, a2):
+        assert _outcome(arena_quotient, arena) == _outcome(_induced_quotient, arena)
 
 
 def test_comp_bisim_invariant_under_vertex_and_state_renaming():
