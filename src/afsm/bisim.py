@@ -14,12 +14,13 @@ and the splitter-based algorithm of Paige & Tarjan (SIAM J. Comput. 1987)
 takes over from there, so that part costs O(m log n).
 Two states are bisimilar iff they share a block, so R*, the verdict on
 machines without initial states and the self-partition are read off the
-block ids that :func:`_blocks` returns.  :func:`is_bisimilar` of two
-machines with initial states refines only the positions that the two
-initial states reach, as on-the-fly checking does.  :func:`_minimal`
-refines a machine given on integers and builds its minimal machine, each
-block named after its least member; :func:`quotient` hands it the
-reachable part that ``model._reach`` walks, and
+block ids that :func:`_blocks` returns.  ``model._reach`` gives the
+reachable part of a machine, the states its initial state reaches and
+their moves: :func:`is_bisimilar` of two machines with initial states
+refines only the two machines' reachable parts, as on-the-fly checking
+does.  :func:`_minimal` refines a machine given on integers and builds its
+minimal machine, each block named after its least member;
+:func:`quotient` hands it the reachable part, and
 ``expand._Expander.minimal`` the explored part of a product.
 :func:`_isomorphism` uses the same refinement, on moves read both ways:
 it pairs one state of each machine by hand and refines again, depth
@@ -28,8 +29,6 @@ oracle over the dense pair table is provided for cross-checking.
 """
 
 from __future__ import annotations
-
-from bisect import bisect_left
 
 from .model import Fsm, _fsm, _index, _reach, paused_gc
 
@@ -327,18 +326,26 @@ def _pairs(b1: dict, b2: dict) -> frozenset:
     return frozenset((s1, s2) for s1, b in b1.items() for s2 in by_block.get(b, ()))
 
 
-def _verdict(m1: Fsm, m2: Fsm, b1: dict, b2: dict) -> bool:
-    """m1 = m2 up to bisimulation, given their block ids in one refinement.
+def _check_initials(m1: Fsm, m2: Fsm) -> None:
+    """Reject two machines of which only one declares an initial state.
 
-    With initial states on both sides the verdict is membership of the
-    initial pair in R*; with no initial states anywhere it is totality of
-    R*, i.e. both machines occupy the same set of blocks.  Mixed presence
-    is rejected, since the two acceptance conditions differ.
+    The two acceptance conditions differ, so mixed presence has no verdict;
+    callers check it before they refine anything.
     """
     if (m1.initial is None) != (m2.initial is None):
         raise InitialStateMismatch(
             f"{m1.id} and {m2.id} disagree on declaring an initial state"
         )
+
+
+def _verdict(m1: Fsm, m2: Fsm, b1: dict, b2: dict) -> bool:
+    """m1 = m2 up to bisimulation, given their block ids in one refinement.
+
+    With initial states on both sides the verdict is membership of the
+    initial pair in R*; with no initial states anywhere it is totality of
+    R*, i.e. both machines occupy the same set of blocks.  The caller has
+    ruled out mixed presence with :func:`_check_initials`.
+    """
     if m1.initial is not None:
         return b1[m1.initial] == b2[m2.initial]
     return set(b1.values()) == set(b2.values())
@@ -404,38 +411,24 @@ def is_bisimilar(m1: Fsm, m2: Fsm) -> bool:
     """Decide m1 = m2 up to bisimulation.
 
     The initial pair must be in R*; with no initial states anywhere, R*
-    must be total.  Mixed presence raises :class:`InitialStateMismatch`.
-    With two initial states only the part of the disjoint union that they
-    reach decides, as in the on-the-fly checking of Fernandez & Mounier
-    ("On the fly verification of behavioural equivalences and preorders",
-    CAV 1991): both machines are indexed as :func:`_blocks` does, one walk
-    over the integer moves finds the positions the two initial states
-    reach, and only those are refined, renumbered if some are not reached.
+    must be total.  Mixed presence raises :class:`InitialStateMismatch`
+    before anything is refined.  With two initial states only the part of
+    the disjoint union that they reach decides, as in the on-the-fly
+    checking of Fernandez & Mounier ("On the fly verification of
+    behavioural equivalences and preorders", CAV 1991): ``model._reach``
+    gives each machine's reachable part, the second numbered after the
+    first, and only those positions are refined.
     """
-    if m1.initial is None or m2.initial is None:
+    _check_initials(m1, m2)
+    if m1.initial is None:
         return _verdict(m1, m2, *_blocks(m1, m2))
     labels = {}
-    n1 = len(m1.states)
-    succ = _index(m1, labels) + _index(m2, labels, n1)
-    i1, i2 = bisect_left(m1.states, m1.initial), n1 + bisect_left(m2.states, m2.initial)
-    reached = [False] * len(succ)
-    reached[i1] = reached[i2] = True
-    found = [i1, i2]
-    add = found.append
-    for p in found:  # grows as the walk reaches new positions
-        for _, d in succ[p]:
-            if not reached[d]:
-                reached[d] = True
-                add(d)
-    outputs = [*map(m1.output_map.__getitem__, m1.states),
-               *map(m2.output_map.__getitem__, m2.states)]
-    if len(found) < len(succ):
-        at = dict(zip(found, range(len(found))))
-        succ = [[(lab, at[d]) for lab, d in succ[p]] for p in found]
-        outputs = [outputs[p] for p in found]
-        i1, i2 = at[i1], at[i2]
-    block = _refine(len(succ), outputs, succ)
-    return block[i1] == block[i2]
+    names1, succ1 = _reach(m1, labels)
+    n1 = len(names1)
+    names2, succ2 = _reach(m2, labels, n1)
+    outputs = [*map(m1.output_map.__getitem__, names1), *map(m2.output_map.__getitem__, names2)]
+    block = _refine(len(outputs), outputs, succ1 + succ2)
+    return block[0] == block[n1]
 
 
 @paused_gc

@@ -16,7 +16,8 @@ from dataclasses import asdict, dataclass, field
 from functools import cache
 
 from .model import Arena, Fsm, ModelError, paused_gc, validate_arena, validate_fsm
-from .bisim import BisimError, _blocks, _pairs, _verdict, naive_bisim_oracle, quotient
+from .bisim import BisimError, _blocks, _check_initials, _pairs, _verdict
+from .bisim import naive_bisim_oracle, quotient
 from .expand import DEFAULT_MAX_STATES, GuardExceeded, expand, state_count
 from .compositional import (
     _comp_blocks,
@@ -94,6 +95,7 @@ def cmd_check_bisim(args) -> tuple[int, RunReport]:
     doc = _load(args.file)
     m1 = _get_fsm(doc, args.m1)
     m2 = _get_fsm(doc, args.m2)
+    _check_initials(m1, m2)
     report = RunReport("check-bisim", [args.file])
     t0 = time.perf_counter()
     b1, b2 = _blocks(m1, m2)

@@ -20,21 +20,28 @@ machine on integers:
   (label mask, code) pairs, each packed into one int, so coinciding
   combinations collapse as they arise.
 
+One fold, built once per expander (``_Expander.fold``), computes this
+step for a set of vertices whose digits are fixed: it strips their moves
+of their predecessors' outputs, sums the vertices with one move into one
+pair, and folds in the vertices with several.  Every path to successors
+goes through it: the full walk, the accessible walk and the transition
+count.
+
 Exploration (:meth:`_Expander.explore`) finds the codes of the states,
-with the name, output mask and successors of each; the names come from
-the product of the machines' states, or from the digits of each state
-reached, so no list of part tuples is built.  A full expansion is
-one depth-first walk over prefixes (:meth:`_Expander._walk`).  It fixes the
-vertices' digits in a *nesting order*, and a prefix carries its partial
-code, output mask and successor set.  A vertex's stripped moves depend on
-its own digit and its predecessors' digits only, so they are computed and
-folded in once per prefix, at the first level where all of those digits
-are fixed, and every state below that prefix shares them.  The nesting
-order is built from the end: each step puts last the remaining vertex that
-the fewest remaining vertices read, because the moves of the vertices that
-read the last vertex are computed once per state.  An accessible expansion
-walks from the initial state instead, and folds each state it reaches on
-its own.
+with the name, output mask and successors of each; the names come from the
+product of the machines' states, or from the digits of each state reached,
+so no list of part tuples is built.  A full expansion is one depth-first
+walk over prefixes (:meth:`_Expander._walk`).  It fixes the vertices'
+digits in a *nesting order*, and a prefix carries its partial code, output
+mask and successor set.  A vertex's stripped moves depend on its own digit
+and its predecessors' digits only, so one call of the fold computes them
+and folds them in once per prefix, at the first level where all of those
+digits are fixed, and every state below that prefix shares them.  The
+nesting order is built from the end: each step puts last the remaining
+vertex that the fewest remaining vertices read, because the moves of the
+vertices that read the last vertex are computed once per state.  An
+accessible expansion walks from the initial state instead, and folds all
+vertices of each state it reaches at once (:meth:`_Expander.successors`).
 
 Assembly (:meth:`_Expander.assemble`) then builds label and output
 frozensets once each, ranks the names and the labels once, and builds the
@@ -57,7 +64,8 @@ target has exactly the product of its vertices' move counts as
 transitions, whatever the strip; summed over such states, that product
 factorises into one sum per vertex.  Only the states with a *branching*
 machine state, one with two moves into one target, are visited, because
-there stripping and label unions can merge successors.
+there stripping and label unions can merge successors; the fold computes
+their successors.
 """
 
 from __future__ import annotations
@@ -146,18 +154,6 @@ def _union(masks) -> int:
     return reduce(or_, masks, 0)
 
 
-def _fold(pair: int, forks):
-    """The successors of one pair and the move tables ``forks``.
-
-    The tables are folded in one at a time, so combinations that coincide
-    collapse as they arise.
-    """
-    acc = (pair,)
-    for moves in forks:
-        acc = {(p | u) + t for p in acc for u, t in moves}
-    return tuple(acc)  # kept per state, where a tuple takes a fraction of a set's memory
-
-
 class _Expander:
     """Integer tables of one arena, for successor enumeration on codes.
 
@@ -210,50 +206,63 @@ class _Expander:
         # per vertex and state: union of its label masks
         self.label_bits = [[_union(u for u, _ in mv) for mv in moves] for moves in self.moves]
         # per vertex and state: strip mask -> stripped, deduplicated moves
-        self._stripped = [[{} for _ in m.states] for m in machines]
+        _stripped = [[{} for _ in m.states] for m in machines]
+        # per vertex: its digit and output mask in the state being folded
+        self.digit, self.out_of = digit, out_of = [0] * len(machines), [0] * len(machines)
+        moves, label_bits, pre = self.moves, self.label_bits, self.pre
 
-    def _strip(self, i: int, d: int, strip: int) -> tuple:
-        """The distinct moves of vertex ``i`` in state ``d`` with the bits ``strip`` taken off.
+        def fold(acc, ws):
+            """``acc`` extended by the stripped moves of the vertices ``ws``, or () on a deadlock.
 
-        Each result is kept in ``_stripped``.
-        """
-        table = self._stripped[i][d]
-        moves = table.get(strip)
-        if moves is None:
-            moves = table[strip] = tuple({(u & ~strip, t) for u, t in self.moves[i][d]})
-        return moves
+            A vertex's moves lose the bits its predecessors output, each
+            distinct result kept in ``_stripped``.  Vertices with one move add
+            the same label bits and digit to every successor, so they are
+            summed into one pair, which is applied together with the next
+            table of several moves, or on its own at the end.  The tables are
+            folded in one at a time, so combinations that coincide collapse
+            as they arise.  Captures neither ``self`` nor a bound method,
+            which would make a cycle that only the cyclic collector frees.
+            """
+            pu = pt = 0
+            for w in ws:
+                d = digit[w]
+                mv = moves[w][d]
+                strip = 0
+                for j in pre[w]:
+                    strip |= out_of[j]
+                strip &= label_bits[w][d]
+                if strip:
+                    table = _stripped[w][d]
+                    mv = table.get(strip)
+                    if mv is None:
+                        mv = table[strip] = tuple({(u & ~strip, t) for u, t in moves[w][d]})
+                if len(mv) == 1:
+                    ((u, t),) = mv
+                    pu |= u
+                    pt += t
+                elif not mv:
+                    return ()  # deadlock: some machine cannot fire
+                elif pu or pt:
+                    acc = {(p | u | pu) + t + pt for p in acc for u, t in mv}
+                    pu = pt = 0
+                else:
+                    acc = {(p | u) + t for p in acc for u, t in mv}
+            if not (pu or pt):
+                return acc
+            if len(acc) == 1:  # one successor, as most states of a deterministic arena have
+                (p,) = acc
+                return ((p | pu) + pt,)
+            return {(p | pu) + pt for p in acc}
 
-    def _moves(self, digits):
-        """The moves of the state with ``digits`` for :func:`_fold`, or None if it deadlocks.
-
-        Vertices with one move add the same label bits and digit to every
-        successor, so they are summed into one pair; the move tables of the
-        other vertices are returned as they are.
-        """
-        outputs = list(map(list.__getitem__, self.outputs, digits))
-        pair = 0
-        forks = []
-        for i, d in enumerate(digits):
-            moves = self.moves[i][d]
-            strip = 0
-            for j in self.pre[i]:
-                strip |= outputs[j]
-            strip &= self.label_bits[i][d]
-            if strip:
-                moves = self._strip(i, d, strip)
-            if len(moves) == 1:
-                ((u, t),) = moves
-                pair = (pair | u) + t
-            elif moves:
-                forks.append(moves)
-            else:
-                return None  # composite deadlock: some machine cannot fire
-        return pair, forks
+        self.fold = fold
+        self.vertices = range(len(machines))  # the fold's ``ws`` for a whole state
 
     def successors(self, digits):
         """Distinct successors (label mask << shift | code) of the state with ``digits``."""
-        found = self._moves(digits)
-        return () if found is None else _fold(*found)
+        self.digit[:] = digits
+        self.out_of[:] = map(list.__getitem__, self.outputs, digits)
+        # kept per state, where a tuple takes a fraction of a set's memory
+        return tuple(self.fold((0,), self.vertices))
 
     def decode(self, code: int) -> tuple:
         digits = []
@@ -273,7 +282,8 @@ class _Expander:
         ``mode="full"`` takes every code, from :meth:`_walk`, and names the
         states from the product of the machines' states;
         ``mode="accessible"`` walks from the initial state, computes the
-        successors of each state it reaches and names it from its digits.
+        successors of each state it reaches with one call of the fold
+        (:meth:`successors`) and names it from its digits.
         No list of part tuples is kept.  Both are guarded by ``max_states``.
         """
         arena = self.arena
@@ -355,13 +365,13 @@ class _Expander:
 
         A depth-first walk fixes the digits in :meth:`_nesting_order`.  A
         vertex's stripped moves depend on its own digit and its
-        predecessors' digits only, so they are computed, and folded into
-        the prefix's partial successor set, once per prefix at the first
-        level where all of those digits are fixed.  Each prefix carries its
-        partial code, output mask and successor set; the last level writes
-        one code's results per digit.  Every fold collapses coinciding
-        successors, a single move's too: its label can cover the one bit in
-        which two partial successors differ.
+        predecessors' digits only, so the fold computes them, and folds
+        them into the prefix's partial successor set, once per prefix at
+        the first level where all of those digits are fixed.  Each prefix
+        carries its partial code, output mask and successor set; the last
+        level writes one code's results per digit.  Every fold collapses
+        coinciding successors, a single move's too: its label can cover the
+        one bit in which two partial successors differ.
         """
         nest = self._nesting_order()
         n = len(nest)
@@ -371,25 +381,7 @@ class _Expander:
         folds = [[] for _ in nest]  # per level: the vertices whose moves are fixed there
         for w, ps in enumerate(self.pre):
             folds[max([level[w], *map(level.__getitem__, ps)])].append(w)
-        digit = [0] * n  # per vertex: its digit in the current prefix
-        out_of = [0] * n  # per vertex: its output mask in the current prefix
-        pre, moves, label_bits, strip_moves = self.pre, self.moves, self.label_bits, self._strip
-
-        def fold(acc, ws):
-            for w in ws:
-                d = digit[w]
-                mv = moves[w][d]
-                strip = 0
-                for j in pre[w]:
-                    strip |= out_of[j]
-                strip &= label_bits[w][d]
-                if strip:
-                    mv = strip_moves(w, d, strip)
-                if not mv:
-                    return ()  # deadlock: every state of the prefix has no successors
-                acc = {(p | u) + t for p in acc for u, t in mv}
-            return acc
-
+        digit, out_of, fold = self.digit, self.out_of, self.fold
         outputs = [0] * total
         succ = [()] * total
         last, leaf_folds = nest[-1], folds[-1]
@@ -436,8 +428,8 @@ class _Expander:
         include a branching machine state are enumerated, by the position of
         the first one, and counted exactly: ``succ`` holds the successors of
         the states ``codes``, which are counted, not computed again; the
-        others are folded.  States with a deadlocked machine state are never
-        visited.
+        others go through the fold, by :meth:`successors`.  States with a
+        deadlocked machine state are never visited.
         """
         plain, branching = [], []
         for moves in self.moves:
@@ -455,7 +447,7 @@ class _Expander:
         for k, b in enumerate(branching):
             for digits in product(*plain[:k], b, *live[k + 1:]):
                 n = found.get(sum(map(mul, digits, self.weights)))
-                total += len(_fold(*self._moves(digits))) if n is None else n
+                total += len(self.successors(digits)) if n is None else n
         return total
 
     def assemble(self, codes, names, outputs, succ) -> CompositeFsm:

@@ -312,28 +312,31 @@ def _index(m: Fsm, labels: dict, offset: int = 0):
     return list(succ.values())
 
 
-def _reach(m: Fsm, labels: dict):
+def _reach(m: Fsm, labels: dict, offset: int = 0):
     """The states of ``m`` that its initial state reaches, and their moves on integers.
 
-    With no initial state every state counts as reached.  States are
-    numbered in the order the walk reaches them, the initial state first,
-    and only their transitions are read: those of ``s`` start where
-    bisection puts ``(s,)``, a probe that never compares labels (``<`` on
-    frozensets is subset order).  Returns the reached states and, per
-    position, its (label id, target position) moves, with labels interned
+    This is the reachable part of ``m``, on which ``bisim.quotient`` and
+    ``bisim.is_bisimilar`` refine.  With no initial state every state
+    counts as reached.  States are numbered from ``offset`` in the order
+    the walk reaches them, the initial state first, and only their
+    transitions are read: those of ``s`` start where bisection puts
+    ``(s,)``, a probe that never compares labels (``<`` on frozensets is
+    subset order).  Returns the reached states and, per position, its
+    (label id, ``offset`` + target position) moves, with labels interned
     in ``labels`` as by :func:`_index`.
     """
     trans = m.transitions
     found = list(m.states) if m.initial is None else [m.initial]
-    at = dict(zip(found, range(len(found))))
+    at = dict(zip(found, range(offset, offset + len(found))))
     succ = []
     for s in found:  # grows as the walk reaches new states
         moves = []
         i = bisect_left(trans, (s,))
         while i < len(trans) and trans[i][0] == s:
             _, label, dst = trans[i]
-            d = at.setdefault(dst, len(found))
-            if d == len(found):
+            n = offset + len(found)
+            d = at.setdefault(dst, n)
+            if d == n:
                 found.append(dst)
             moves.append((labels.setdefault(label, len(labels)), d))
             i += 1

@@ -20,11 +20,13 @@ from afsm import (
     naive_bisim_oracle,
     quotient,
     self_partition,
+    serialize,
     validate_fsm,
 )
 from afsm.bisim import TooLarge, TooLargeForGeneralIso
 from afsm import cli, compositional
 from afsm.cli import run
+from afsm.formats import ModelDocument
 from conftest import bloated_copy, hyp_fsms, hyp_machines, random_fsm, renamed_copy
 
 
@@ -359,6 +361,31 @@ def test_is_bisimilar_refines_only_the_reachable_part(monkeypatch):
         )
         assert is_bisimilar(reachable, reachable)
     assert sizes == [6, 206, 6, 206]
+
+
+def test_mixed_initial_presence_fails_before_any_refinement(monkeypatch, tmp_path):
+    # a 500-state chain with an initial state against one without: the
+    # mismatch is raised, and check-bisim exits 2 with its message, before
+    # either machine is refined
+    calls = []
+    refine = bisim._refine
+    monkeypatch.setattr(bisim, "_refine", lambda *a: calls.append(1) or refine(*a))
+    free = _chain(500, hub=0)
+    rooted = validate_fsm(
+        "rooted", free.states, free.inputs, free.outputs, free.output_map, free.transitions,
+        initial="c0",
+    )
+    message = "rooted and chain disagree on declaring an initial state"
+    with pytest.raises(InitialStateMismatch) as exc:
+        is_bisimilar(rooted, free)
+    assert str(exc.value) == message
+    path = tmp_path / "mixed.afsm"
+    path.write_text(serialize(ModelDocument(fsms={"rooted": rooted, "chain": free})))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert run(["check-bisim", str(path), "rooted", "chain"]) == 2
+    assert err.getvalue() == f"error: {message}\n"
+    assert calls == []
 
 
 @given(hyp_machines("m"), st.none() | st.integers(0, 13))

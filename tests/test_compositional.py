@@ -362,9 +362,9 @@ def test_reduce_computes_the_moves_of_each_state_at_most_once(monkeypatch):
     arenas = [load_fixture("euclid.afsm").arenas["euclid"]]
     arenas += [random_arena(rng, with_initial=i % 2 == 0) for i in range(20)]
     seen = []
-    moves_of = expand_module._Expander._moves
+    successors = expand_module._Expander.successors
     monkeypatch.setattr(
-        expand_module._Expander, "_moves", lambda ex, ds: seen.append(ds) or moves_of(ex, ds)
+        expand_module._Expander, "successors", lambda ex, ds: seen.append(ds) or successors(ex, ds)
     )
     for arena in arenas:
         seen.clear()
@@ -391,9 +391,9 @@ def test_reduce_of_ecoli_computes_the_moves_of_the_reachable_states_only(monkeyp
     # target, so the full product's transitions are counted without
     # visiting any of the 54,990 unreached states
     seen = []
-    moves_of = expand_module._Expander._moves
+    successors = expand_module._Expander.successors
     monkeypatch.setattr(
-        expand_module._Expander, "_moves", lambda ex, ds: seen.append(ds) or moves_of(ex, ds)
+        expand_module._Expander, "successors", lambda ex, ds: seen.append(ds) or successors(ex, ds)
     )
     _, report = reduce(load_fixture("ecoli.afsm").arenas["ecoli"])
     assert 0 < len(seen) <= 306

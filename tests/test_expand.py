@@ -3,6 +3,7 @@ import gc
 import itertools
 import random
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -184,6 +185,23 @@ def test_expand_restores_the_gc_state_when_the_guard_fires(enabled, monkeypatch)
         (gc.enable if before else gc.disable)()
     # the guard fired partway through exploring, with the collector paused
     assert during and not any(during)
+
+
+def test_an_expander_is_freed_without_the_cyclic_collector():
+    # the fold closes over the expander's tables, not over the expander, so
+    # no cycle outlives an expansion that runs with the collector paused
+    ex = _Expander(euclid_arena())
+    ex.explore("full", 100)
+    ex.explore("accessible", 100)
+    freed = weakref.ref(ex)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del ex
+        assert freed() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_composite_names_are_injective_on_dotted_state_ids():
@@ -404,9 +422,14 @@ def assert_the_walk_matches_each_state(arena):
     parts = list(itertools.product(*(m.states for m in machines)))
     assert names == list(map(composite_name, parts))
     ref = _Expander(arena)  # its own caches, filled state by state
+    low = (1 << ref.shift) - 1
     for code in codes:
         want = ref.successors(ref.decode(code))
         assert set(succ[code]) == set(want) and len(succ[code]) == len(want)
+        # the walk and successors share the fold, so the oracle checks it too
+        assert {(ref.symbol_set(p), parts[p & low]) for p in succ[code]} == composite_successors(
+            arena, parts[code]
+        )
         assert ref.symbol_set(outputs[code]) == frozenset().union(
             *(m.output_map[s] for m, s in zip(machines, parts[code]))
         )

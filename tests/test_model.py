@@ -285,6 +285,16 @@ def test_only_the_indexer_numbers_states():
     assert calls_in_package(enumerates_states) == {"model.py": ["_index"]}
 
 
+def test_only_the_one_fold_reads_the_stripped_moves():
+    # expand's fold is the one place a vertex's moves are stripped, for the
+    # full walk, the accessible walk and the transition count alike
+    def reads_stripped(node):
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        return name == "_stripped" and isinstance(node.ctx, ast.Load)
+
+    assert calls_in_package(reads_stripped, (ast.Name, ast.Attribute)) == {"expand.py": ["fold"]}
+
+
 def test_only_the_token_checker_reads_the_token_grammar():
     # model._token is the one checker of the token grammar; a reference
     # anywhere else (an import, an attribute, a name) would be a second one

@@ -1,4 +1,4 @@
-"""Before/after times of the compositional verdicts, ``reduce`` and ``is_bisimilar``.
+"""Before/after times of the compositional verdicts, ``reduce``, ``is_bisimilar`` and ``expand``.
 
 Run from the root of a checkout, with the ``src`` directories of the two
 versions to compare::
@@ -21,7 +21,11 @@ from one round to the next.  The inputs:
   ``comp-campaign``, the bisimilar one and the one with an odd vertex;
 - the ``bench-scaling`` verb for the ring and the star family up to N=20;
 - ``is_bisimilar`` of a 1,000-state chain, every state of which its
-  initial state reaches, and a renamed copy of it.
+  initial state reaches, and a renamed copy of it;
+- ``reduce`` of the E. coli fixture's ``ecoli`` arena;
+- the accessible ``expand`` of its ``ecoli_min`` arena;
+- the full ``expand`` of the 13,824-state subset of ``ecoli_min``
+  without the vertex ``LacY``.
 
 The script prints, or writes to ``FILE``, one JSON document: the Python
 version, the core count, the value of ``PYTHONDONTWRITEBYTECODE``, and per
@@ -49,6 +53,7 @@ sys.path.insert(0, str(HERE.parent / "perfbench"))
 import workloads  # noqa: E402
 
 SEED = 21
+ECOLI = HERE.parent / "src" / "afsm" / "fixtures" / "ecoli.afsm"
 GUARD = 10**5  # the campaign's guard on expansions
 
 
@@ -131,6 +136,17 @@ def inputs(api, texts, networks):
             ["bench-scaling", "--family", family, "--n-max", "20"]
         )
     calls["is_bisimilar chain 1000"] = lambda: api.is_bisimilar(chain, copy)
+
+    ecoli = api.parse(ECOLI.read_text(encoding="utf-8")).arenas
+    small = ecoli["ecoli_min"]
+    subset = api.validate_arena(
+        "sub",
+        {v: m for v, m in small.vertices if v != "LacY"},
+        [e for e in small.edges if "LacY" not in e],
+    )
+    calls["reduce ecoli"] = lambda: api.reduce(ecoli["ecoli"])
+    calls["expand ecoli_min accessible"] = lambda: api.expand(small, mode="accessible")
+    calls["expand ecoli_min without LacY full"] = lambda: api.expand(subset, mode="full")
     return calls
 
 
