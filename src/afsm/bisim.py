@@ -66,12 +66,13 @@ def _refine(n_states, outputs, succ):
     block = [by_output.setdefault(out, len(by_output)) for out in outputs]
     if not all(succ):
         return _peel(n_states, block, succ)
-    return _stabilise(n_states, block, len(by_output), succ)
+    return _stabilise(range(n_states), block, len(by_output), succ)
 
 
-def _stabilise(n_states, block, n_blocks, succ):
-    """Refine ``block``, a partition into ``n_blocks`` blocks, until stable.
+def _stabilise(states, block, n_blocks, succ, k=0):
+    """Refine ``block`` until stable; ``states`` hold ``n_blocks`` of its blocks, ids k onwards.
 
+    Every other state keeps its block, which is to be stable already.
     A signature pass splits every block by the set of (label, block) pairs
     its states can move to, at a cost of O(m), and the partition is stable
     once a pass splits nothing.  Passes repeat while each one at least
@@ -83,12 +84,11 @@ def _stabilise(n_states, block, n_blocks, succ):
     """
     while True:
         by_sig = {}
-        finer = [
-            by_sig.setdefault(
+        finer = block[:]
+        for s in states:
+            finer[s] = k + by_sig.setdefault(
                 (block[s], frozenset((lab, block[d]) for lab, d in succ[s])), len(by_sig)
             )
-            for s in range(n_states)
-        ]
         if len(by_sig) == n_blocks:
             return block
         if len(by_sig) < 2 * n_blocks:
@@ -107,11 +107,9 @@ def _peel(n_states, block, succ):
     to is, by its block and the set of (label, class) pairs it can move
     to, so the pass costs O(n + m).  A well-founded state has no infinite
     path and every other state has one, so no class mixes the two kinds
-    and the classes are final.  Every other state has a move into the
-    rest, which :func:`_stabilise` refines on its own: its states start
-    grouped by block and by their moves into classes, and only the moves
-    within the rest are kept.  Classes take ids 0..k-1 and the rest's
-    blocks k onwards.
+    and the classes are final.  :func:`_stabilise` refines every other
+    state in place, from its block, and passes over those states alone:
+    classes take ids 0..k-1 and the rest's blocks k onwards.
     """
     pred = [[] for _ in range(n_states)]
     for s, moves in enumerate(succ):
@@ -132,22 +130,10 @@ def _peel(n_states, block, succ):
     if len(ready) == n_states:
         return cls
     rest = [s for s in range(n_states) if cls[s] is None]
-    index = {s: i for i, s in enumerate(rest)}
-    moves, start, by_start = [], [], {}
-    for s in rest:  # one loop: two comprehensions cost more on small machines
-        inner, fixed = [], []
-        for lab, d in succ[s]:
-            c = cls[d]
-            if c is None:
-                inner.append((lab, index[d]))
-            else:
-                fixed.append((lab, c))
-        moves.append(inner)
-        start.append(by_start.setdefault((block[s], frozenset(fixed)), len(by_start)))
-    k = len(by_key)
-    for s, b in zip(rest, _stabilise(len(rest), start, len(by_start), moves)):
-        cls[s] = k + b
-    return cls
+    k, by_block = len(by_key), {}
+    for s in rest:
+        cls[s] = k + by_block.setdefault(block[s], len(by_block))
+    return _stabilise(rest, cls, len(by_block), succ, k)
 
 
 def _split_until_stable(succ, coarse, block):

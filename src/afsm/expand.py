@@ -11,8 +11,8 @@ directly on frozensets and state tuples, and is the reference semantics
 the expansion is tested against.  :func:`expand` computes the same
 machine on integers:
 
-- every symbol of the arena is one bit, so a stripped label is
-  ``u & ~strip`` and a label union is ``|``;
+- every symbol of the arena is one bit, so a set's mask is the sum of
+  its bits, a label union is ``|`` and a stripped label ``u ^ u & strip``;
 - a component state is its index in its machine's ``states``, and a
   composite state is the mixed-radix integer of those digits with vertex 0
   most significant, so integer order is tuple order;
@@ -20,7 +20,8 @@ machine on integers:
   (label mask, code) pairs, each packed into one int, so coinciding
   combinations collapse as they arise.
 
-One fold, built once per expander (``_Expander.fold``), computes this
+The expander's tables are built in one pass over ``model._index``'s
+moves.  One fold, built once per expander (``_Expander.fold``), computes this
 step for a set of vertices whose digits are fixed: it strips their moves
 of their predecessors' outputs, sums the vertices with one move into one
 pair, and folds in the vertices with several.  Every path to successors
@@ -30,7 +31,8 @@ count.
 Exploration (:meth:`_Expander.explore`) finds the codes of the states,
 with the name, output mask and successors of each; the names come from the
 product of the machines' states, or from the digits of each state reached,
-so no list of part tuples is built.  A full expansion is one depth-first
+so no list of part tuples is built; without a dotted state id, one
+``map`` of ``str.join`` makes them.  A full expansion is one depth-first
 walk over prefixes (:meth:`_Expander._walk`).  It fixes the vertices'
 digits in a *nesting order*, and a prefix carries its partial code, output
 mask and successor set.  A vertex's stripped moves depend on its own digit
@@ -43,13 +45,13 @@ vertices that read the last vertex are computed once per state.  An
 accessible expansion walks from the initial state instead, and folds all
 vertices of each state it reaches at once (:meth:`_Expander.successors`).
 
-Assembly (:meth:`_Expander.assemble`) then builds label and output
-frozensets once each, ranks the names and the labels once, and builds the
-transitions already in canonical order, which ``model._fsm`` checks in one
-scan and keeps.  It consumes the successors: once they are sort keys it
-empties their list, and it decodes the sorted keys into transitions in
-place, so each transition is held in one form at a time.  The parts of
-each state are built last, after the machine.
+Assembly (:meth:`_Expander.assemble`) then decodes each distinct label
+and output mask once (:meth:`_Expander.symbol_sets`), ranks the names and
+the labels once, and builds the transitions already in canonical order,
+which ``model._fsm`` checks in one scan and keeps.  It consumes the
+successors: once they are sort keys it empties their list, and it decodes
+the sorted keys into transitions in place, so each transition is held in
+one form at a time.  ``parts`` decodes a name when it is looked up.
 :meth:`_Expander.minimal` builds instead the minimal machine of the
 explored states: it hands their names, output masks and moves on
 integers to ``bisim._minimal``, which also ends ``bisim.quotient``: it
@@ -71,10 +73,13 @@ their successors.
 from __future__ import annotations
 
 import math
+import re
+from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import reduce
 from heapq import heapify, heappop, heappush
-from itertools import accumulate, product
+from itertools import accumulate, islice, product
 from operator import getitem, mul, or_
 
 from .bisim import _minimal
@@ -87,6 +92,7 @@ from .model import Arena, Fsm, ModelError, _fsm, _index, _label_key, paused_gc
 DEFAULT_MAX_STATES = 10**6
 
 PART_SEP = "."
+_ESCAPED = re.compile(r"\+(.)")  # an escape of composite_name: ``++`` or ``+-``
 
 # sorted keys decoded into transitions per slice: a slice's keys and tuples are
 # the only transitions held in two forms at once
@@ -125,7 +131,7 @@ class CompositeFsm:
 
     fsm: Fsm
     vertex_order: tuple
-    parts: dict  # state id -> tuple of component state ids
+    parts: Mapping  # state id -> tuple of component state ids
 
 
 def state_count(arena: Arena) -> int:
@@ -150,8 +156,35 @@ def composite_name(parts) -> str:
     )
 
 
-def _union(masks) -> int:
-    return reduce(or_, masks, 0)
+def composite_parts(name: str, arity: int) -> tuple:
+    """The tuple of ``arity`` parts that :func:`composite_name` named ``name``.
+
+    An escaped part is read in one left-to-right scan: two passes of
+    ``str.replace`` would read the escape ``++-`` of ``+-`` as ``+.``.
+    """
+    parts = name.split(PART_SEP)
+    if len(parts) == arity:
+        return tuple(parts)
+    return tuple(_ESCAPED.sub(lambda m: "+" if m[1] == "+" else PART_SEP, p) for p in parts[1:])
+
+
+class _Parts(Mapping):
+    """Each state id of a product -> its tuple of parts, decoded when it is looked up."""
+
+    def __init__(self, states: tuple, arity: int):
+        self._states, self._arity = states, arity  # states in id order
+
+    def __getitem__(self, name):
+        i = bisect_left(self._states, name) if isinstance(name, str) else len(self._states)
+        if i == len(self._states) or self._states[i] != name:
+            raise KeyError(name)
+        return composite_parts(name, self._arity)
+
+    def __iter__(self):
+        return iter(self._states)
+
+    def __len__(self):
+        return len(self._states)
 
 
 class _Expander:
@@ -168,45 +201,46 @@ class _Expander:
 
     def __init__(self, arena: Arena):
         self.arena = arena
-        self.order = arena.vertex_ids
-        self.machines = machines = [fsm for _, fsm in arena.vertices]
+        self.order, machines = zip(*arena.vertices)
         self.state_ids = [m.states for m in machines]
-        sizes = [len(m.states) for m in machines]
+        sizes = list(map(len, self.state_ids))
         self.weights = list(accumulate(sizes[:0:-1], mul, initial=1))[::-1]
         # code of the composite initial state, if every machine declares one
         self.initial = None
         if all(m.initial is not None for m in machines):
             self.initial = sum(m.states.index(m.initial) * w for m, w in zip(machines, self.weights))
-        self.shift = shift = (state_count(arena) - 1).bit_length()
-        self.symbols = sorted(frozenset().union(*(m.inputs | m.outputs for m in machines)))
-        # the id and alphabets of the expanded machine
-        self.header = (
-            f"M_{arena.id}",
-            frozenset().union(*(m.inputs for m in machines)),
-            frozenset().union(*(m.outputs for m in machines)),
-        )
-        bit = {x: 1 << (k + shift) for k, x in enumerate(self.symbols)}
+        self.shift = shift = (math.prod(sizes) - 1).bit_length()
+        inputs = frozenset().union(*(m.inputs for m in machines))
+        outputs = frozenset().union(*(m.outputs for m in machines))
+        self.symbols = sorted(inputs | outputs)
+        self.header = (f"M_{arena.id}", inputs, outputs)  # of the expanded machine
+        bit = {x: 1 << k + shift for k, x in enumerate(self.symbols)}
         index = {v: i for i, v in enumerate(self.order)}
         self.pre = [[] for _ in machines]
         for a, b in arena.edges:
             self.pre[index[b]].append(index[a])
-        labels = {}  # shared, so each distinct label gets one mask
-        indexed = [_index(m, labels) for m in machines]
-        mask = [_union(bit[x] for x in label) for label in labels]
-        # per vertex and state: shifted output mask
-        self.outputs = [
-            [_union(bit[x] for x in m.output_map[s]) for s in m.states] for m in machines
-        ]
-        # per vertex and state: (shifted label mask, dst digit * weight),
-        # distinct because the machine's transitions are
-        self.moves = [
-            [tuple([(mask[lab], d * w) for lab, d in mv]) for mv in succ]
-            for succ, w in zip(indexed, self.weights)
-        ]
-        # per vertex and state: union of its label masks
-        self.label_bits = [[_union(u for u, _ in mv) for mv in moves] for moves in self.moves]
-        # per vertex and state: strip mask -> stripped, deduplicated moves
-        _stripped = [[{} for _ in m.states] for m in machines]
+        # per vertex and state: shifted output mask, (shifted label mask, dst
+        # digit * weight) moves, distinct as the transitions are, and label bits
+        self.outputs, self.moves, self.label_bits = [], [], []
+        labels, mask = {}, []  # shared, so each distinct label gets one mask
+        for m, w in zip(machines, self.weights):
+            succ = _index(m, labels)
+            mask += [sum(map(bit.__getitem__, u)) for u in islice(labels, len(mask), None)]
+            self.outputs.append([sum(map(bit.__getitem__, m.output_map[s])) for s in m.states])
+            moves, label_bits = [], []
+            for mv in succ:
+                pairs, bits = [], 0
+                for lab, d in mv:
+                    u = mask[lab]
+                    pairs.append((u, d * w))
+                    bits |= u
+                moves.append(tuple(pairs))
+                label_bits.append(bits)
+            self.moves.append(moves)
+            self.label_bits.append(label_bits)
+        # per vertex: strip mask + digit -> stripped, deduplicated moves; a
+        # digit is below 1 << shift, the strip mask's lowest bit
+        _stripped = [{} for _ in machines]
         # per vertex: its digit and output mask in the state being folded
         self.digit, self.out_of = digit, out_of = [0] * len(machines), [0] * len(machines)
         moves, label_bits, pre = self.moves, self.label_bits, self.pre
@@ -232,10 +266,10 @@ class _Expander:
                     strip |= out_of[j]
                 strip &= label_bits[w][d]
                 if strip:
-                    table = _stripped[w][d]
-                    mv = table.get(strip)
+                    table = _stripped[w]
+                    mv = table.get(strip + d)
                     if mv is None:
-                        mv = table[strip] = tuple({(u & ~strip, t) for u, t in moves[w][d]})
+                        mv = table[strip + d] = tuple({(u ^ u & strip, t) for u, t in moves[w][d]})
                 if len(mv) == 1:
                     ((u, t),) = mv
                     pu |= u
@@ -271,10 +305,17 @@ class _Expander:
             digits.append(d)
         return tuple(digits)
 
-    def symbol_set(self, mask: int) -> frozenset:
-        """The symbols of a shifted mask."""
-        mask >>= self.shift
-        return frozenset(x for k, x in enumerate(self.symbols) if mask >> k & 1)
+    def symbol_sets(self, masks, shift: int = 0) -> dict:
+        """Each distinct mask of ``masks`` -> its frozenset; bit ``k + shift`` is ``symbols[k]``."""
+        symbols, sets = self.symbols, {}
+        for u in set(masks):
+            members, x = [], u
+            while x:
+                k = x.bit_length() - 1
+                members.append(symbols[k - shift])
+                x ^= 1 << k
+            sets[u] = frozenset(members)
+        return sets
 
     def explore(self, mode: str, max_states: int):
         """Ascending codes of the expansion's states, and their names, outputs and successors.
@@ -289,8 +330,7 @@ class _Expander:
         arena = self.arena
         if mode == "full":
             outputs, succ = self._walk(_check_guard(arena, max_states))
-            names = list(map(composite_name, product(*self.state_ids)))
-            return range(len(succ)), names, outputs, succ
+            return range(len(succ)), self._names(product(*self.state_ids)), outputs, succ
         if self.initial is None:
             raise NoInitialState(
                 f"arena {arena.id}: accessible expansion needs initial states on every machine"
@@ -318,9 +358,14 @@ class _Expander:
                     frontier.append(dst)
         codes = sorted(digits_of)
         digits = [digits_of[c] for c in codes]
-        names = list(map(composite_name, self._parts(digits)))
+        names = self._names(self._parts(digits))
         outputs = [reduce(or_, map(list.__getitem__, self.outputs, ds)) for ds in digits]
         return codes, names, outputs, [succ_of[c] for c in codes]
+
+    def _names(self, parts) -> list:
+        """:func:`composite_name` of each tuple of ``parts``: a join where no id has a dot."""
+        dotted = any(PART_SEP in "".join(ids) for ids in self.state_ids)
+        return list(map(composite_name if dotted else PART_SEP.join, parts))
 
     def _parts(self, digits):
         """The component state tuple of each digit tuple in ``digits``, one at a time."""
@@ -375,24 +420,24 @@ class _Expander:
         """
         nest = self._nesting_order()
         n = len(nest)
-        level = [0] * n
-        for k, v in enumerate(nest):
-            level[v] = k
+        level = sorted(range(n), key=nest.__getitem__)  # per vertex: its place in ``nest``
         folds = [[] for _ in nest]  # per level: the vertices whose moves are fixed there
         for w, ps in enumerate(self.pre):
             folds[max([level[w], *map(level.__getitem__, ps)])].append(w)
         digit, out_of, fold = self.digit, self.out_of, self.fold
+        tables, weights = self.outputs, self.weights
         outputs = [0] * total
         succ = [()] * total
         last, leaf_folds = nest[-1], folds[-1]
-        leaf_outputs, leaf_weight = self.outputs[last], self.weights[last]
-        # per level: the prefix above it, and the next digit to take there
-        code_at, out_at, acc_at = [0] * n, [0] * n, [(0,)] * n
+        leaf_outputs, leaf_weight = tables[last], weights[last]
+        # per level: the code, output mask and successors of the prefix above
+        # it, and the next digit to take there
+        prefix = [(0, 0, (0,))] * n
         nxt = [0] * n
         k = 0
         while k >= 0:
+            code, out, acc = prefix[k]
             if k == n - 1:
-                code, out, acc = code_at[k], out_at[k], acc_at[k]
                 for x, o in enumerate(leaf_outputs):
                     c = code + x * leaf_weight
                     outputs[c] = out | o
@@ -402,18 +447,16 @@ class _Expander:
                 k -= 1
                 continue
             v, x = nest[k], nxt[k]
-            if x == len(self.state_ids[v]):
+            outs = tables[v]
+            if x == len(outs):
                 nxt[k] = 0
                 k -= 1
                 continue
             nxt[k] = x + 1
-            o = self.outputs[v][x]
+            o = outs[x]
             digit[v], out_of[v] = x, o
-            code_at[k + 1] = code_at[k] + x * self.weights[v]
-            out_at[k + 1] = out_at[k] | o
-            acc = acc_at[k]
-            acc_at[k + 1] = fold(acc, folds[k]) if acc else acc
             k += 1
+            prefix[k] = (code + x * weights[v], out | o, fold(acc, folds[k - 1]) if acc else acc)
         return outputs, succ
 
     def count_transitions(self, codes, succ) -> int:
@@ -460,11 +503,11 @@ class _Expander:
         ``model._fsm`` keeps them as they are.  ``succ`` is consumed: it is
         emptied once the keys are built, and the sorted keys are decoded
         into transitions in place, a slice at a time, so no transition is
-        held in two forms at once.  ``parts`` is built last, from the
-        product of the machines' states or from the codes.
+        held in two forms at once.  ``parts`` decodes a state's name when
+        it is looked up.
         """
-        low = (1 << self.shift) - 1
-        high = ~low
+        shift = self.shift
+        low = (1 << shift) - 1
         n = len(names)
         by_name = sorted(range(n), key=names.__getitem__)
         ordered = [names[i] for i in by_name]
@@ -472,14 +515,16 @@ class _Expander:
         # per code: the rank of its name; a full expansion's codes are positions
         rank_of = rank if isinstance(codes, range) else dict(zip(codes, rank))
         initial = None if self.initial is None else ordered[rank_of[self.initial]]
-        sets = cache(self.symbol_set)  # each distinct mask's frozenset is built once
-        masks = sorted({p & high for found in succ for p in found}, key=lambda u: _label_key(sets(u)))
-        label_of = list(map(sets, masks))
+        # ``p & ~low`` would AND through a two's-complement copy of the negative mask
+        masks = {p >> shift for found in succ for p in found}
+        sets = self.symbol_sets(masks)
+        masks = sorted(masks, key=lambda u: _label_key(sets[u]))
+        label_of = list(map(sets.__getitem__, masks))
         tb = n.bit_length()  # key bits: source rank, then label rank, then target rank
         sb = tb + len(masks).bit_length()
         label_rank = {u: r << tb for r, u in enumerate(masks)}
         transitions = [
-            s + label_rank[p & high] + rank_of[p & low]
+            s + label_rank[p >> shift] + rank_of[p & low]
             for s, i in zip(range(0, n << sb, 1 << sb), by_name)
             for p in succ[i]
         ]
@@ -492,15 +537,11 @@ class _Expander:
                 (ordered[k >> sb], label_of[k >> tb & lm], ordered[k & tm])
                 for k in transitions[i:i + _DECODE_SLICE]
             ]
-        out_map = dict(zip(names, map(sets, outputs)))
+        out_map = dict(zip(names, map(self.symbol_sets(outputs, shift).__getitem__, outputs)))
         fsm_id, inputs, outputs = self.header
         fsm = _fsm(fsm_id, ordered, initial, inputs, outputs, out_map, transitions, label_of)
         del transitions, ordered  # the machine holds its own copies
-        if isinstance(codes, range):
-            parts = product(*self.state_ids)
-        else:
-            parts = self._parts(map(self.decode, codes))
-        return CompositeFsm(fsm=fsm, vertex_order=self.order, parts=dict(zip(names, parts)))
+        return CompositeFsm(fsm, self.order, _Parts(fsm.states, len(self.order)))
 
     def minimal(self, codes, names, outputs, succ) -> Fsm:
         """The minimal machine of the states ``codes``, from :meth:`explore`'s result.
@@ -508,13 +549,15 @@ class _Expander:
         With an initial state, ``codes`` are to be the states it reaches, as
         an accessible exploration finds them.  ``succ`` is left as it is.
         """
-        low = (1 << self.shift) - 1
-        high = ~low
+        shift = self.shift
+        low = (1 << shift) - 1
         at = {c: i for i, c in enumerate(codes)}
-        labels = {}  # shifted label mask -> label id
-        moves = [[(labels.setdefault(p & high, len(labels)), at[p & low]) for p in s] for s in succ]
+        labels = {}  # label mask -> label id
+        moves = [[(labels.setdefault(p >> shift, len(labels)), at[p & low]) for p in s] for s in succ]
+        keys = [u >> shift for u in outputs]
         start = None if self.initial is None else at[self.initial]
-        return _minimal(*self.header, names, outputs, moves, start, labels, cache(self.symbol_set))
+        sets = self.symbol_sets([*labels, *keys])
+        return _minimal(*self.header, names, keys, moves, start, labels, sets.__getitem__)
 
 
 def _check_guard(arena: Arena, max_states: int) -> int:

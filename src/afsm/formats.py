@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import partial
 from operator import itemgetter
 from typing import TextIO
 
@@ -151,10 +151,7 @@ def _parse(text, source):
     # block's output map and transitions
     ids = omap = trans = None
     line_no = 0
-
-    @cache  # each distinct set text is checked once, at the line that first reads it
-    def symbols(tok: str) -> frozenset:
-        return _parse_set(tok, line_no)
+    sets = {}  # each distinct set text -> its frozenset, checked at the line that first reads it
 
     for text_block in _blocks(text):
         hashed = "#" in text_block
@@ -182,7 +179,9 @@ def _parse(text, source):
                     raise MissingStateAtLine(
                         f"transition {side} {sid!r} is not a declared state", line_no
                     ) from None
-                trans.append((src, symbols(label), dst))
+                if label not in sets:
+                    sets[label] = _parse_set(label, line_no)
+                trans.append((src, sets[label], dst))
                 continue
             if kw == "state" and ids is not None:
                 if len(toks) != 3:
@@ -191,7 +190,9 @@ def _parse(text, source):
                 _at(line_no, _token, "state id", sid)
                 if sid in ids:
                     raise DuplicateName(f"duplicate state {sid!r}", line_no)
-                omap[sid] = symbols(out)
+                if out not in sets:
+                    sets[out] = _parse_set(out, line_no)
+                omap[sid] = sets[out]
                 ids[sid] = sid
                 continue
 
@@ -240,7 +241,9 @@ def _parse(text, source):
                         raise FormatError(f"'{kw}' takes one symbol set", line_no)
                     if acc[kw] is not None:
                         raise FormatError(f"duplicate '{kw}' directive", line_no)
-                    acc[kw] = symbols(toks[1])
+                    if toks[1] not in sets:
+                        sets[toks[1]] = _parse_set(toks[1], line_no)
+                    acc[kw] = sets[toks[1]]
                 elif kw == "initial":
                     if len(toks) != 2:
                         raise FormatError("'initial' takes one state id", line_no)

@@ -8,8 +8,10 @@ The inputs are the chains that the ``chain-minimize`` benchmark workload
 minimizes (``perfbench/gen.py``'s ``chain`` of 400 states, of 700 states
 with 35 clones, whose 700 reachable states are refined, and of 1,000
 states), the 4,000-state chain of ``tests/test_bisim.py`` without and with
-a loop on its last state, and the 306-state exploration that ``reduce``
-refines on the E. coli arena of the fixture.  Each is put on integers as
+a loop on its last state, and, on the E. coli arena of the fixture, the
+17-state induced machine that ``reduce`` refines for the arena quotient,
+two of whose states are well-founded, and the 306-state exploration that
+it refines last.  Each is put on integers as
 ``quotient`` and ``reduce`` put it, then refined ``N`` times (default 21)
 with the collector off.  The script prints one JSON document: the Python
 version, the core count, the value of ``PYTHONDONTWRITEBYTECODE``, and per
@@ -32,6 +34,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import gen  # noqa: E402
 from afsm import bisim, load_fixture, parse, reduce, validate_fsm  # noqa: E402
+from afsm.compositional import _induced, machine_classes  # noqa: E402
 from afsm.model import _reach  # noqa: E402
 
 
@@ -57,6 +60,13 @@ def long_chain(n, loop):
     return on_integers(m)
 
 
+def ecoli_induced():
+    """The induced machine whose refinement gives the arena quotient of E. coli."""
+    arena = load_fixture("ecoli.afsm").arenas["ecoli"]
+    outputs, succ = _induced(arena, machine_classes(arena))
+    return len(outputs), outputs, succ
+
+
 def ecoli_exploration():
     """The largest refinement that ``reduce`` makes on the E. coli arena."""
     seen = []
@@ -76,6 +86,7 @@ def inputs():
         "chain 1000": benchmark_chain(1000, 0),
         "chain 4000": long_chain(4000, False),
         "chain 4000 looped": long_chain(4000, True),
+        "ecoli induced machine": ecoli_induced(),
         "ecoli exploration": ecoli_exploration(),
     }
 

@@ -130,6 +130,13 @@ MIXED_SHAPES = {
         ["f x", "f t", "x x", "f2 x2", "f2 t2", "x2 x2", "g x", "h t"],
         ["f f2", "g x x2", "h", "t t2"],
     ),
+    # a chain into a looped end that also moves into a deadlock: the states
+    # left after the peel differ only by their distance to that end, which
+    # the splitter-based refinement finishes beside the peeled class
+    "chain into a looped exit": (
+        ["r0 r1", "r1 r2", "r2 r3", "r3 r3", "r3 t"],
+        ["r0", "r1", "r2", "r3", "t"],
+    ),
 }
 
 

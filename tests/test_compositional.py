@@ -376,9 +376,13 @@ def test_reduce_computes_the_moves_of_each_state_at_most_once(monkeypatch):
 
 
 def test_reduce_of_ecoli_names_only_the_reachable_states(monkeypatch):
+    # every name of a product's state is made by _names, which calls
+    # composite_name only for an arena with a dotted state id
     named = []
-    name_of = expand_module.composite_name
-    monkeypatch.setattr(expand_module, "composite_name", lambda p: named.append(p) or name_of(p))
+    names = expand_module._Expander._names
+    monkeypatch.setattr(
+        expand_module._Expander, "_names", lambda ex, parts: named.extend(found := names(ex, parts)) or found
+    )
     minimal, report = reduce(load_fixture("ecoli.afsm").arenas["ecoli"])
     assert 0 < len(named) <= 306
     assert report["expanded_states"] == 55296

@@ -7,7 +7,7 @@ import weakref
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from afsm import (
     expand,
@@ -22,6 +22,7 @@ from afsm.expand import (
     NoInitialState,
     _Expander,
     composite_name,
+    composite_parts,
 )
 from afsm.cli import _bench_arena, _bench_machine
 from afsm.model import _label_key
@@ -231,6 +232,72 @@ def test_composite_names_are_injective_on_dotted_state_ids():
         )
 
 
+# tuples of state ids over the escape's characters, some of them dotted
+state_ids = st.text("ab.+-", min_size=1, max_size=4)
+
+
+@given(st.lists(state_ids, min_size=1, max_size=4).map(tuple))
+def test_composite_parts_inverts_composite_name(parts):
+    assert composite_parts(composite_name(parts), len(parts)) == parts
+
+
+def test_composite_parts_undoes_the_escape_in_one_scan():
+    # "+-" is escaped to "++-", which two passes of str.replace read as "+."
+    name = composite_name(("+-", "a.b", "."))
+    assert name == ".++-.a+-b.+-"
+    assert composite_parts(name, 3) == ("+-", "a.b", ".")
+    assert composite_parts("+-.a", 2) == ("+-", "a")
+
+
+@given(
+    st.sampled_from(["ab+-", "ab.+-"]).flatmap(
+        lambda chars: st.lists(
+            st.lists(st.text(chars, min_size=1, max_size=3), min_size=1, max_size=3, unique=True),
+            min_size=1,
+            max_size=3,
+        )
+    )
+)
+def test_the_expander_names_each_product_tuple_apart(ids):
+    # with and without dotted ids: the names are the composite names of
+    # the product's tuples, distinct, and parts decodes each one back
+    machines = {
+        f"v{i}": validate_fsm(f"m{i}", states, [], [], {s: [] for s in states}, [])
+        for i, states in enumerate(ids)
+    }
+    arena = validate_arena("n", machines, [])
+    _, names, _, _ = _Expander(arena).explore("full", 10**5)
+    tuples = list(itertools.product(*(m.states for _, m in arena.vertices)))
+    assert names == list(map(composite_name, tuples))
+    assert len(set(names)) == len(names)
+    comp = expand(arena, mode="full")
+    assert dict(comp.parts) == dict(zip(names, tuples))
+
+
+@given(hyp_arenas(), st.data())
+def test_symbol_sets_decode_exactly_the_set_bits(arena, data):
+    ex = _Expander(arena)
+    symbols = st.sampled_from(ex.symbols) if ex.symbols else st.nothing()
+    subsets = data.draw(st.lists(st.sets(symbols), max_size=6))
+    masks = [sum(1 << ex.symbols.index(x) for x in u) for u in subsets]
+    sets = ex.symbol_sets(masks)
+    assert len(sets) == len(set(masks))
+    assert all(sets[mask] == u for mask, u in zip(masks, subsets))
+
+
+def test_parts_is_a_read_only_view_of_the_states():
+    comp = expand(euclid_arena(), mode="full")
+    parts = comp.parts
+    assert list(parts) == list(comp.fsm.states) and len(parts) == 12
+    assert parts["1.3.5"] == ("1", "3", "5")
+    for missing in ("1.3", "9.9.9", 7, None):
+        assert missing not in parts
+        with pytest.raises(KeyError):
+            parts[missing]
+    with pytest.raises(TypeError):
+        parts["1.3.5"] = ("2", "4", "6")
+
+
 def test_accessible_mode_requires_initial_states():
     m = validate_fsm("m", ["x"], [], [], {"x": []}, [("x", [], "x")])
     arena = validate_arena("a", {"v": m}, [])
@@ -422,15 +489,17 @@ def assert_the_walk_matches_each_state(arena):
     parts = list(itertools.product(*(m.states for m in machines)))
     assert names == list(map(composite_name, parts))
     ref = _Expander(arena)  # its own caches, filled state by state
-    low = (1 << ref.shift) - 1
+    shift = ref.shift
+    low = (1 << shift) - 1
+    sets = ref.symbol_sets([p >> shift for found in succ for p in found] + [u >> shift for u in outputs])
     for code in codes:
         want = ref.successors(ref.decode(code))
         assert set(succ[code]) == set(want) and len(succ[code]) == len(want)
         # the walk and successors share the fold, so the oracle checks it too
-        assert {(ref.symbol_set(p), parts[p & low]) for p in succ[code]} == composite_successors(
+        assert {(sets[p >> shift], parts[p & low]) for p in succ[code]} == composite_successors(
             arena, parts[code]
         )
-        assert ref.symbol_set(outputs[code]) == frozenset().union(
+        assert sets[outputs[code] >> shift] == frozenset().union(
             *(m.output_map[s] for m, s in zip(machines, parts[code]))
         )
 

@@ -293,7 +293,8 @@ def test_parse_of_canonical_text_builds_no_ordering_tables():
 def test_full_expansion_peak_memory_is_close_to_its_result():
     # the walk's successor ints, the sort keys and the transition tuples
     # are never all held at once: the peak was 1.53 times the machine
-    # and its parts when they were, and is about 1.1 times now
+    # and its parts when they were, and is about 1.3 times the machine
+    # now, whose parts are decoded from its state ids
     size, peak = fresh_trace(
         "from afsm import expand\nfrom conftest import ecoli_subset\n"
         "arena = ecoli_subset('AraB', 'GalE')",

@@ -11,12 +11,15 @@ files.  Every input is then timed ``N`` times on each side (default
 101), interleaved: input by input, the side that runs first alternating
 from one round to the next.  The inputs:
 
-- ``is_comp_bisimilar``, ``reduce`` and ``is_bisimilar``, each timed as
-  one pass over the 240 ``comp-campaign`` cases (``perfbench/gen.py``'s
-  ``campaign_template``, written with seed 21): ``is_comp_bisimilar`` of
-  the arenas ``a`` and ``b``, ``reduce`` of ``a`` (a ``QuotientSelfLoop``
-  counts as done), and ``is_bisimilar`` of the full expansions of ``a``
-  and ``b`` where both declare initial states;
+- ``is_comp_bisimilar``, ``reduce``, ``is_bisimilar``, ``parse``,
+  ``expand`` and ``quotient``, each timed as one pass over the 240
+  ``comp-campaign`` cases (``perfbench/gen.py``'s ``campaign_template``,
+  written with seed 21): ``is_comp_bisimilar`` of the arenas ``a`` and
+  ``b``, ``reduce`` of ``a`` (a ``QuotientSelfLoop`` counts as done),
+  ``is_bisimilar`` of the full expansions of ``a`` and ``b`` where both
+  declare initial states, ``parse`` of each case file, the full
+  ``expand`` of each case's arena ``a``, and ``quotient`` of that
+  expansion;
 - the ``check-comp-bisim`` verb on the 300-vertex network pair of
   ``comp-campaign``, the bisimilar one and the one with an odd vertex;
 - the ``bench-scaling`` verb for the ring and the star family up to N=20;
@@ -86,6 +89,7 @@ def write_campaign(workdir):
 def inputs(api, texts, networks):
     """Input name -> a call that takes no argument, on the ``afsm`` package ``api``."""
     pairs = [(doc.arenas["a"], doc.arenas["b"]) for doc in map(api.parse, texts)]
+    expanded = [api.expand(a, mode="full", max_states=GUARD).fsm for a, _ in pairs]
     flat = []
     for a, b in pairs:
         m1, m2 = (api.expand(x, mode="full", max_states=GUARD).fsm for x in (a, b))
@@ -106,6 +110,18 @@ def inputs(api, texts, networks):
     def flat_checks():
         for m1, m2 in flat:
             api.is_bisimilar(m1, m2)
+
+    def parses():
+        for text in texts:
+            api.parse(text)
+
+    def expansions():
+        for a, _ in pairs:
+            api.expand(a, mode="full", max_states=GUARD)
+
+    def quotients():
+        for m in expanded:
+            api.quotient(m)
 
     def verb(argv):
         def call():
@@ -128,6 +144,9 @@ def inputs(api, texts, networks):
         "campaign is_comp_bisimilar": comp_checks,
         "campaign reduce": reductions,
         "campaign is_bisimilar": flat_checks,
+        "campaign parse": parses,
+        "campaign expand": expansions,
+        "campaign quotient": quotients,
     }
     for argv, odd in networks:
         calls[f"check-comp-bisim 300{' odd' if odd else ''}"] = verb(argv)
