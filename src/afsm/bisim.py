@@ -11,7 +11,14 @@ transitions; no other state is bisimilar to one of them.  On the other
 states, signature passes split blocks by their outgoing (label,
 target-block) sets while each pass at least doubles the number of blocks,
 and the splitter-based algorithm of Paige & Tarjan (SIAM J. Comput. 1987)
-takes over from there, so that part costs O(m log n).
+takes over from there, so that part costs O(m log n).  The peel and the
+signature passes key a state in one of three forms, so that the states
+of chains, which have at most one move each, build no set: a state with
+no move by its block alone, an int; one whose moves give a single
+distinct (label, class) pair by the flat tuple (block, label, class);
+and any other by (block, frozenset of its pairs).  An int, a 3-tuple and
+a 2-tuple never compare equal, and moves that collapse to one pair are
+keyed as that pair, so two states share a key iff their sets do.
 Two states are bisimilar iff they share a block, so R*, the verdict on
 machines without initial states and the self-partition are read off the
 block ids that :func:`_blocks` returns.  ``model._reach`` gives the
@@ -60,7 +67,11 @@ def _refine(n_states, outputs, succ):
     States start grouped by output set.  Where some state has no move,
     :func:`_peel` classes the well-founded states, those with no path into
     a cycle, in O(n + m) for m transitions, and hands only the others to
-    :func:`_stabilise`, which refines them in O(m log n).
+    :func:`_stabilise`, which refines them in O(m log n).  Both key a state
+    by its block and its set of (label, class) pairs in the cheapest of
+    three forms that never compare equal: the block alone, an int, for a
+    state with no move; (block, label, class) for a state whose moves,
+    however many, give one pair; (block, frozenset of pairs) otherwise.
     """
     by_output = {}
     block = [by_output.setdefault(out, len(by_output)) for out in outputs]
@@ -78,7 +89,12 @@ def _stabilise(states, block, n_blocks, succ, k=0):
     once a pass splits nothing.  Passes repeat while each one at least
     doubles the number of blocks, so there are at most log2(n) of them;
     most small machines, and wide ones such as expanded arenas, are stable
-    after two.  A pass that splits less hands over to
+    after two.  Every state passed over has a move, since :func:`_peel`
+    classes the states without one, so a signature is either the flat
+    (block, label, block) of a state whose moves give one pair, or the
+    2-tuple (block, frozenset of pairs) of any other: a 3-tuple never
+    equals a 2-tuple, and collapsing moves to their one pair keeps
+    bisimilar states together.  A pass that splits less hands over to
     :func:`_split_until_stable`, which finishes in O(m log n) time on
     inputs that would need one pass per state.
     """
@@ -86,9 +102,18 @@ def _stabilise(states, block, n_blocks, succ, k=0):
         by_sig = {}
         finer = block[:]
         for s in states:
-            finer[s] = k + by_sig.setdefault(
-                (block[s], frozenset((lab, block[d]) for lab, d in succ[s])), len(by_sig)
-            )
+            moves = succ[s]
+            if len(moves) == 1:
+                lab, d = moves[0]
+                sig = (block[s], lab, block[d])
+            else:
+                sig = frozenset([(lab, block[d]) for lab, d in moves])
+                if len(sig) == 1:
+                    (pair,) = sig
+                    sig = (block[s], *pair)
+                else:
+                    sig = (block[s], sig)
+            finer[s] = k + by_sig.setdefault(sig, len(by_sig))
         if len(by_sig) == n_blocks:
             return block
         if len(by_sig) < 2 * n_blocks:
@@ -105,9 +130,12 @@ def _peel(n_states, block, succ):
     bisimulation equivalence" (TCS 2004).  They are peeled backwards from
     the states with no move: a state is classed once every state it moves
     to is, by its block and the set of (label, class) pairs it can move
-    to, so the pass costs O(n + m).  A well-founded state has no infinite
-    path and every other state has one, so no class mixes the two kinds
-    and the classes are final.  :func:`_stabilise` refines every other
+    to, so the pass costs O(n + m).  That key is the block alone, an int,
+    for a state with no move, (block, label, class) for one whose moves
+    give a single pair and (block, frozenset of pairs) for any other; the
+    three shapes never compare equal, so no set is built on a chain.  A
+    well-founded state has no infinite path and every other state has
+    one, so no class mixes the two kinds and the classes are final.  :func:`_stabilise` refines every other
     state in place, from its block, and passes over those states alone:
     classes take ids 0..k-1 and the rest's blocks k onwards.
     """
@@ -120,9 +148,20 @@ def _peel(n_states, block, succ):
     cls = [None] * n_states
     by_key = {}
     for s in ready:  # grows while it is read
-        cls[s] = by_key.setdefault(
-            (block[s], frozenset((lab, cls[d]) for lab, d in succ[s])), len(by_key)
-        )
+        moves = succ[s]
+        if not moves:
+            key = block[s]
+        elif len(moves) == 1:
+            lab, d = moves[0]
+            key = (block[s], lab, cls[d])
+        else:
+            key = frozenset([(lab, cls[d]) for lab, d in moves])
+            if len(key) == 1:
+                (pair,) = key
+                key = (block[s], *pair)
+            else:
+                key = (block[s], key)
+        cls[s] = by_key.setdefault(key, len(by_key))
         for p in pred[s]:
             left[p] -= 1
             if not left[p]:

@@ -93,20 +93,12 @@ class ModelDocument:
         }
 
 
-def _at(line_no: int, check, *args):
-    """``check(*args)``, with a model error reported at ``line_no``."""
-    try:
-        return check(*args)
-    except ModelError as exc:
-        raise FormatError(str(exc), line_no) from exc
-
-
 def _parse_set(tok: str, line_no: int) -> frozenset:
     m = _SET_RE.match(tok)
     if not m:
         raise FormatError(f"expected a symbol set like {{a,b}}, got {tok!r}", line_no)
     body = m.group(1)  # a token holds no whitespace
-    return _at(line_no, symbol_set, body.split(",") if body else [])
+    return symbol_set(body.split(",") if body else [])
 
 
 def _blocks(text):
@@ -156,127 +148,139 @@ def _parse(text, source):
     for text_block in _blocks(text):
         hashed = "#" in text_block
         for line_no, line in enumerate(text_block.splitlines(), line_no + 1):
-            if hashed and "#" in line:
-                line = line[:line.index("#")]
-            # tokens are runs of non-space; sets keep their braces as one token
-            toks = line.split()
-            if not toks:
-                continue
-            kw = toks[0]
+            # a model error from a check of a token is reported at this line; a
+            # format error keeps its own, as ``end`` reports at its block's header
+            try:
+                if hashed and "#" in line:
+                    line = line[:line.index("#")]
+                # tokens are runs of non-space; sets keep their braces as one token
+                toks = line.split()
+                if not toks:
+                    continue
+                kw = toks[0]
 
-            # the directives of most lines, so they are dispatched first; the
-            # transition holds the declared id objects, not the line's copies
-            if kw == "trans" and ids is not None:
-                if len(toks) != 4:
-                    raise FormatError("'trans' takes source, label set, target", line_no)
-                _, src, label, dst = toks
-                try:
-                    src, dst = ids[src], ids[dst]
-                except KeyError:  # a declared state is a valid token, so only a miss is checked
-                    _at(line_no, _token, "state id", src)
-                    _at(line_no, _token, "state id", dst)
-                    side, sid = ("source", src) if src not in ids else ("target", dst)
-                    raise MissingStateAtLine(
-                        f"transition {side} {sid!r} is not a declared state", line_no
-                    ) from None
-                if label not in sets:
-                    sets[label] = _parse_set(label, line_no)
-                trans.append((src, sets[label], dst))
-                continue
-            if kw == "state" and ids is not None:
-                if len(toks) != 3:
-                    raise FormatError("'state' takes an id and an output set", line_no)
-                _, sid, out = toks
-                _at(line_no, _token, "state id", sid)
-                if sid in ids:
-                    raise DuplicateName(f"duplicate state {sid!r}", line_no)
-                if out not in sets:
-                    sets[out] = _parse_set(out, line_no)
-                omap[sid] = sets[out]
-                ids[sid] = sid
-                continue
+                # the directives of most lines, so they are dispatched first; the
+                # transition holds the declared id objects, not the line's copies
+                if kw == "trans" and ids is not None:
+                    if len(toks) != 4:
+                        raise FormatError("'trans' takes source, label set, target", line_no)
+                    _, src, label, dst = toks
+                    try:
+                        src, dst = ids[src], ids[dst]
+                    except KeyError:
+                        # a declared state is a valid token, so only a miss is checked
+                        _token("state id", src)
+                        _token("state id", dst)
+                        side, sid = ("source", src) if src not in ids else ("target", dst)
+                        raise MissingStateAtLine(
+                            f"transition {side} {sid!r} is not a declared state", line_no
+                        ) from None
+                    if label not in sets:
+                        sets[label] = _parse_set(label, line_no)
+                    trans.append((src, sets[label], dst))
+                    continue
+                if kw == "state" and ids is not None:
+                    if len(toks) != 3:
+                        raise FormatError("'state' takes an id and an output set", line_no)
+                    _, sid, out = toks
+                    _token("state id", sid)
+                    if sid in ids:
+                        raise DuplicateName(f"duplicate state {sid!r}", line_no)
+                    if out not in sets:
+                        sets[out] = _parse_set(out, line_no)
+                    omap[sid] = sets[out]
+                    ids[sid] = sid
+                    continue
 
-            if kw in ("fsm", "arena"):
-                if block is not None:
-                    raise FormatError(f"'{kw}' inside an open block; missing 'end'?", line_no)
-                if len(toks) != 2:
-                    raise FormatError(f"'{kw}' takes exactly one name", line_no)
-                name = _at(line_no, _token, f"{kw} name", toks[1])
-                if name in doc.fsms or name in doc.arenas:
-                    raise DuplicateName(f"duplicate definition of {name!r}", line_no)
-                if kw == "fsm":
-                    ids, omap, trans = {}, {}, []
-                    block = ("fsm", name, {
-                        "inputs": None, "outputs": None, "initial": None, "line": line_no,
-                    })
-                else:
-                    block = ("arena", name, {"nodes": {}, "edges": [], "line": line_no})
-                continue
-
-            if block is None:
-                raise FormatError(f"directive {kw!r} outside any block", line_no)
-
-            kind, name, acc = block
-
-            if kw == "end":
-                if len(toks) != 1:
-                    raise FormatError("'end' takes no arguments", line_no)
-                try:
-                    if kind == "fsm":
-                        trans = tuple(trans)  # drops the list before the machine is built
-                        doc.fsms[name] = _from_tokens(
-                            name, ids, acc["initial"], acc["inputs"] or frozenset(),
-                            acc["outputs"] or frozenset(), omap, trans,
-                        )
+                if kw in ("fsm", "arena"):
+                    if block is not None:
+                        raise FormatError(f"'{kw}' inside an open block; missing 'end'?", line_no)
+                    if len(toks) != 2:
+                        raise FormatError(f"'{kw}' takes exactly one name", line_no)
+                    name = _token(f"{kw} name", toks[1])
+                    if name in doc.fsms or name in doc.arenas:
+                        raise DuplicateName(f"duplicate definition of {name!r}", line_no)
+                    if kw == "fsm":
+                        ids, omap, trans = {}, {}, []
+                        block = ("fsm", name, {
+                            "inputs": None, "outputs": None, "initial": None, "line": line_no,
+                        })
                     else:
-                        doc.arenas[name] = _arena(name, acc["nodes"].items(), acc["edges"])
-                except ModelError as exc:
-                    raise FormatError(str(exc), acc["line"]) from exc
-                block = ids = omap = trans = None
-                continue
+                        block = ("arena", name, {"nodes": {}, "edges": [], "line": line_no})
+                    continue
 
-            if kind == "fsm":
-                if kw in ("inputs", "outputs"):
-                    if len(toks) != 2:
-                        raise FormatError(f"'{kw}' takes one symbol set", line_no)
-                    if acc[kw] is not None:
-                        raise FormatError(f"duplicate '{kw}' directive", line_no)
-                    if toks[1] not in sets:
-                        sets[toks[1]] = _parse_set(toks[1], line_no)
-                    acc[kw] = sets[toks[1]]
-                elif kw == "initial":
-                    if len(toks) != 2:
-                        raise FormatError("'initial' takes one state id", line_no)
-                    if acc["initial"] is not None:
-                        raise FormatError("at most one 'initial' directive is allowed", line_no)
-                    acc["initial"] = _at(line_no, _token, "state id", toks[1])
+                if block is None:
+                    raise FormatError(f"directive {kw!r} outside any block", line_no)
+
+                kind, name, acc = block
+
+                if kw == "end":
+                    if len(toks) != 1:
+                        raise FormatError("'end' takes no arguments", line_no)
+                    try:
+                        if kind == "fsm":
+                            trans = tuple(trans)  # drops the list before the machine is built
+                            doc.fsms[name] = _from_tokens(
+                                name, ids, acc["initial"], acc["inputs"] or frozenset(),
+                                acc["outputs"] or frozenset(), omap, trans,
+                            )
+                        else:
+                            doc.arenas[name] = _arena(name, acc["nodes"].items(), acc["edges"])
+                    except ModelError as exc:
+                        raise FormatError(str(exc), acc["line"]) from exc
+                    block = ids = omap = trans = None
+                    continue
+
+                if kind == "fsm":
+                    if kw in ("inputs", "outputs"):
+                        if len(toks) != 2:
+                            raise FormatError(f"'{kw}' takes one symbol set", line_no)
+                        if acc[kw] is not None:
+                            raise FormatError(f"duplicate '{kw}' directive", line_no)
+                        if toks[1] not in sets:
+                            sets[toks[1]] = _parse_set(toks[1], line_no)
+                        acc[kw] = sets[toks[1]]
+                    elif kw == "initial":
+                        if len(toks) != 2:
+                            raise FormatError("'initial' takes one state id", line_no)
+                        if acc["initial"] is not None:
+                            raise FormatError(
+                                "at most one 'initial' directive is allowed", line_no
+                            )
+                        acc["initial"] = _token("state id", toks[1])
+                    else:
+                        raise FormatError(f"unknown directive {kw!r} in fsm block", line_no)
                 else:
-                    raise FormatError(f"unknown directive {kw!r} in fsm block", line_no)
-            else:
-                if kw == "node":
-                    if len(toks) != 3:
-                        raise FormatError("'node' takes a vertex id and a machine name", line_no)
-                    _, vid, fsm_name = toks
-                    _at(line_no, _token, "vertex id", vid)
-                    if vid in acc["nodes"]:
-                        raise DuplicateName(f"duplicate vertex {vid!r}", line_no)
-                    # blocks do not nest, so every machine an arena can use is
-                    # already defined, and its name checked, when its node line is read
-                    if fsm_name not in doc.fsms:
-                        _at(line_no, _token, "machine name", fsm_name)
-                        raise FormatError(
-                            f"arena {name!r}: unknown machine {fsm_name!r}", line_no
-                        )
-                    acc["nodes"][vid] = doc.fsms[fsm_name]
-                elif kw == "edge":
-                    if len(toks) != 3:
-                        raise FormatError("'edge' takes two vertex ids", line_no)
-                    _, src, dst = toks
-                    _at(line_no, _token, "vertex id", src)
-                    _at(line_no, _token, "vertex id", dst)
-                    acc["edges"].append((src, dst))
-                else:
-                    raise FormatError(f"unknown directive {kw!r} in arena block", line_no)
+                    if kw == "node":
+                        if len(toks) != 3:
+                            raise FormatError(
+                                "'node' takes a vertex id and a machine name", line_no
+                            )
+                        _, vid, fsm_name = toks
+                        _token("vertex id", vid)
+                        if vid in acc["nodes"]:
+                            raise DuplicateName(f"duplicate vertex {vid!r}", line_no)
+                        # blocks do not nest, so every machine an arena can use is
+                        # already defined, and its name checked, when its node line is read
+                        if fsm_name not in doc.fsms:
+                            _token("machine name", fsm_name)
+                            raise FormatError(
+                                f"arena {name!r}: unknown machine {fsm_name!r}", line_no
+                            )
+                        acc["nodes"][vid] = doc.fsms[fsm_name]
+                    elif kw == "edge":
+                        if len(toks) != 3:
+                            raise FormatError("'edge' takes two vertex ids", line_no)
+                        _, src, dst = toks
+                        _token("vertex id", src)
+                        _token("vertex id", dst)
+                        acc["edges"].append((src, dst))
+                    else:
+                        raise FormatError(f"unknown directive {kw!r} in arena block", line_no)
+            except FormatError:
+                raise
+            except ModelError as exc:
+                raise FormatError(str(exc), line_no) from exc
 
     if block is not None:
         raise FormatError(f"unterminated {block[0]} block {block[1]!r}", line_no)

@@ -11,12 +11,16 @@ states), the 4,000-state chain of ``tests/test_bisim.py`` without and with
 a loop on its last state, and, on the E. coli arena of the fixture, the
 17-state induced machine that ``reduce`` refines for the arena quotient,
 two of whose states are well-founded, and the 306-state exploration that
-it refines last.  Each is put on integers as
-``quotient`` and ``reduce`` put it, then refined ``N`` times (default 21)
-with the collector off.  The script prints one JSON document: the Python
-version, the core count, the value of ``PYTHONDONTWRITEBYTECODE``, and per
-input its states, moves, median time in ms and every run's time.  pytest
-does not collect this file.
+it refines last.  Two more are the union of ``gen.chain``'s chains of 500
+and 501 states that the benchmark's ``check-bisim`` job refines, put on
+integers as ``_blocks`` puts it, and 1,000 states without moves in 500
+output classes of two beside a renamed copy, coloured as the first
+refinement of ``is_isomorphic`` colours them.  The others are put on
+integers as ``quotient`` and ``reduce`` put them.  Each is refined ``N``
+times (default 21) with the collector off.  The script prints one JSON
+document: the Python version, the core count, the value of
+``PYTHONDONTWRITEBYTECODE``, and per input its states, moves, median time
+in ms and every run's time.  pytest does not collect this file.
 """
 
 import argparse
@@ -67,16 +71,42 @@ def ecoli_induced():
     return len(outputs), outputs, succ
 
 
-def ecoli_exploration():
-    """The largest refinement that ``reduce`` makes on the E. coli arena."""
+def refinements(call):
+    """The arguments of every ``bisim._refine`` call that ``call()`` makes."""
     seen = []
     refine = bisim._refine
     bisim._refine = lambda *args: seen.append(args) or refine(*args)
     try:
-        reduce(load_fixture("ecoli.afsm").arenas["ecoli"])
+        call()
     finally:
         bisim._refine = refine
+    return seen
+
+
+def ecoli_exploration():
+    """The largest refinement that ``reduce`` makes on the E. coli arena."""
+    seen = refinements(lambda: reduce(load_fixture("ecoli.afsm").arenas["ecoli"]))
     return max(seen, key=lambda args: args[0])
+
+
+def chain_union():
+    """The refinement of the benchmark's ``check-bisim`` of chains of 500 and 501 states."""
+    rng = random.Random("chain union")
+    doc = parse(gen.emit([gen.chain("A", 500), gen.chain("B", 501)], [], rng))
+    (args,) = refinements(lambda: bisim._blocks(doc.fsms["A"], doc.fsms["B"]))
+    return args
+
+
+def no_move_twins(n):
+    """The first refinement of ``is_isomorphic`` of ``n`` twin states without moves."""
+    states = [f"s{i}" for i in range(n)]
+    output_map = {s: [f"y{i // 2}"] for i, s in enumerate(states)}
+    m = validate_fsm("twins", states, [], sorted(output_map[s][0] for s in states[::2]),
+                     output_map, [])
+    names = [f"t{i}" for i in range(n)]
+    random.Random("twins").shuffle(names)
+    copy = m.renamed("copy", dict(zip(states, names)))
+    return refinements(lambda: bisim.is_isomorphic(m, copy))[0]
 
 
 def inputs():
@@ -88,6 +118,8 @@ def inputs():
         "chain 4000 looped": long_chain(4000, True),
         "ecoli induced machine": ecoli_induced(),
         "ecoli exploration": ecoli_exploration(),
+        "check-bisim chains 500 + 501": chain_union(),
+        "1000 twins without moves": no_move_twins(1000),
     }
 
 

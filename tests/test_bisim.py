@@ -137,6 +137,19 @@ MIXED_SHAPES = {
         ["r0 r1", "r1 r2", "r2 r3", "r3 r3", "r3 t"],
         ["r0", "r1", "r2", "r3", "t"],
     ),
+    # p moves twice on one label, into the bisimilar well-founded t1 and
+    # t2, and q once, into t3: the peel must key p's two moves as q's one
+    "two moves into well-founded twins": (
+        ["p t1", "p t2", "t1 u1", "t2 u2", "q t3", "t3 u3"],
+        ["p q", "t1 t2 t3", "u1 u2 u3"],
+    ),
+    # the same on cycles: p moves into c0 and its twin d0, q into c0 alone,
+    # and c1 and d1 back into them; after the peel of the deadlocks t and
+    # t2 the signature passes must key p's two moves as q's and c1's one
+    "two moves into cyclic twins": (
+        ["c0 c1", "c1 c0", "c0 t", "d0 d1", "d1 d0", "d0 t2", "p c0", "p d0", "q c0"],
+        ["c0 d0", "c1 d1 p q", "t t2"],
+    ),
 }
 
 
