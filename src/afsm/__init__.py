@@ -10,6 +10,7 @@ from .model import (
     Arena,
     Fsm,
     ModelError,
+    record,
     symbol,
     symbol_set,
     validate_arena,

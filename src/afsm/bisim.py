@@ -37,7 +37,7 @@ oracle over the dense pair table is provided for cross-checking.
 
 from __future__ import annotations
 
-from .model import Fsm, _fsm, _index, _reach, paused_gc
+from .model import Fsm, _fsm, _index, _reach, stage
 
 _ISO_GUARD = 12
 
@@ -58,6 +58,7 @@ class TooLargeForGeneralIso(BisimError):
     """A block holds more states than the isomorphism search is guarded for."""
 
 
+@stage("_refine", lambda b, n, _, succ: {"states": n, "moves": sum(map(len, succ)), "blocks": len(set(b))})
 def _refine(n_states, outputs, succ):
     """Partition states 0..n-1 by bisimilarity.
 
@@ -323,7 +324,7 @@ def _minimal(fsm_id, inputs, outputs, names, keys, succ, initial, labels, as_set
     return _fsm(fsm_id, out_map, start, inputs, outputs, out_map, trans)
 
 
-@paused_gc
+@stage("_blocks")
 def _blocks(*machines) -> list:
     """Refine the disjoint union of ``machines`` once.
 
@@ -431,7 +432,7 @@ def naive_bisim_oracle(m1: Fsm, m2: Fsm, guard: int = 10**6) -> frozenset:
     return frozenset(rel)
 
 
-@paused_gc
+@stage("is_bisimilar")
 def is_bisimilar(m1: Fsm, m2: Fsm) -> bool:
     """Decide m1 = m2 up to bisimulation.
 
@@ -456,7 +457,7 @@ def is_bisimilar(m1: Fsm, m2: Fsm) -> bool:
     return block[0] == block[n1]
 
 
-@paused_gc
+@stage("quotient")
 def quotient(m: Fsm) -> Fsm:
     """The minimal machine bisimilar to ``m``.
 
@@ -475,7 +476,7 @@ def quotient(m: Fsm) -> Fsm:
     return _minimal(m.id, m.inputs, m.outputs, names, keys, succ, initial, labels, frozenset)
 
 
-@paused_gc
+@stage("_isomorphism")
 def _isomorphism(m1: Fsm, m2: Fsm) -> dict | None:
     """A state bijection m1 -> m2 that preserves initial, outputs and moves.
 

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import cache
 
-from .model import Arena, Fsm, ModelError, paused_gc, validate_arena, validate_fsm
+from .model import Arena, Fsm, ModelError, stage, validate_arena, validate_fsm
 from .bisim import BisimError, _blocks, _check_initials, _pairs, _verdict
 from .bisim import naive_bisim_oracle, quotient
 from .expand import DEFAULT_MAX_STATES, GuardExceeded, expand, state_count
@@ -78,6 +78,7 @@ def _get_arena(doc: ModelDocument, name: str) -> Arena:
     return doc.arenas[name]
 
 
+@stage("_write")
 def _write(path: str, blocks, report: RunReport):
     """Write the str ``blocks`` to ``path``, one after another."""
     try:
@@ -364,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@paused_gc
+@stage("run")
 def run(argv=None) -> int:
     """Run one verb and return its exit status.
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import bisim  # ``bisim._refine`` is looked up per call, as in ``bisim`` itself
-from .model import Arena, Fsm, ModelError, _arena, _fsm, paused_gc
+from .model import Arena, Fsm, ModelError, _arena, _fsm, stage
 from .bisim import InitialStateMismatch, _blocks, _pairs
 from .expand import DEFAULT_MAX_STATES, _check_guard, _Expander
 
@@ -71,6 +71,7 @@ class MachineClasses:
         return self.token(self.class_index[(arena_index, vertex_id)])
 
 
+@stage("machine_classes")
 def machine_classes(a1: Arena, a2: Arena | None = None) -> MachineClasses:
     """Group all vertices of one or two arenas by machine bisimilarity."""
     tagged = [(0, v, fsm) for v, fsm in a1.vertices]
@@ -183,6 +184,7 @@ def arena_quotient(arena: Arena) -> Arena:
     return _arena_quotient(arena, machine_classes(arena))
 
 
+@stage("_arena_quotient")
 def _arena_quotient(arena: Arena, classes: MachineClasses) -> Arena:
     """:func:`arena_quotient`, given the machine classes of ``arena``."""
     outputs, succ = _induced(arena, classes)
@@ -202,7 +204,7 @@ def _arena_quotient(arena: Arena, classes: MachineClasses) -> Arena:
     return _arena(f"{arena.id}_min", least.values(), edges)
 
 
-@paused_gc
+@stage("reduce")
 def reduce(arena: Arena, max_states: int = DEFAULT_MAX_STATES):
     """Five-step reduction: classes, arena quotient, expansion, quotient.
 

@@ -83,7 +83,7 @@ from itertools import accumulate, islice, product
 from operator import getitem, mul, or_
 
 from .bisim import _minimal
-from .model import Arena, Fsm, ModelError, _fsm, _index, _label_key, paused_gc
+from .model import Arena, Fsm, ModelError, _fsm, _index, _label_key, stage
 
 # A full expansion of E. coli's 55,296-state quotient arena (400,000
 # transitions) raises peak RSS from 17.6 MB to 82.0 MB in a fresh
@@ -317,6 +317,7 @@ class _Expander:
             sets[u] = frozenset(members)
         return sets
 
+    @stage("explore", lambda found, ex, mode, _: {"mode": mode, "states": len(found[0])})
     def explore(self, mode: str, max_states: int):
         """Ascending codes of the expansion's states, and their names, outputs and successors.
 
@@ -405,6 +406,7 @@ class _Expander:
         order.reverse()
         return order
 
+    @stage("_walk")
     def _walk(self, total: int):
         """The output mask and the successors of every code of the full product.
 
@@ -459,6 +461,7 @@ class _Expander:
             prefix[k] = (code + x * weights[v], out | o, fold(acc, folds[k - 1]) if acc else acc)
         return outputs, succ
 
+    @stage("count_transitions")
     def count_transitions(self, codes, succ) -> int:
         """Number of transitions of the full expansion, without visiting its states.
 
@@ -493,6 +496,7 @@ class _Expander:
                 total += len(self.successors(digits)) if n is None else n
         return total
 
+    @stage("assemble")
     def assemble(self, codes, names, outputs, succ) -> CompositeFsm:
         """The expanded machine on the states ``codes``, from :meth:`explore`'s result.
 
@@ -543,6 +547,7 @@ class _Expander:
         del transitions, ordered  # the machine holds its own copies
         return CompositeFsm(fsm, self.order, _Parts(fsm.states, len(self.order)))
 
+    @stage("minimal")
     def minimal(self, codes, names, outputs, succ) -> Fsm:
         """The minimal machine of the states ``codes``, from :meth:`explore`'s result.
 
@@ -571,7 +576,7 @@ def _check_guard(arena: Arena, max_states: int) -> int:
     return total
 
 
-@paused_gc
+@stage("expand")
 def expand(arena: Arena, mode: str = "accessible", max_states: int = DEFAULT_MAX_STATES) -> CompositeFsm:
     """Expand ``arena`` to its flat machine.
 

@@ -49,7 +49,7 @@ from .model import (
     _arena,
     _from_tokens,
     _token,
-    paused_gc,
+    stage,
     symbol_set,
 )
 
@@ -134,7 +134,7 @@ def parse(text: str | TextIO, source: str | None = None) -> ModelDocument:
     return _parse(text, source)
 
 
-@paused_gc
+@stage("_parse")
 def _parse(text, source):
     """:func:`parse`, which the CLI calls with an open file."""
     doc = ModelDocument(source=source)
@@ -333,6 +333,7 @@ def _serialized(doc: ModelDocument):
     yield "\n"
 
 
+@stage("serialize")
 def serialize(doc: ModelDocument) -> str:
     """Canonical textual form of a document (a parse/serialize fixpoint)."""
     return "".join(_serialized(doc))

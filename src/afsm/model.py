@@ -10,6 +10,9 @@ an ``Fsm``.  Distinct vertices may share one machine definition.
 
 All types are immutable after validation and canonically ordered, so that
 serialization and downstream computations are deterministic.
+
+Inside ``with record() as entries:`` each :func:`stage` call appends to ``entries``
+its ``stage`` name, ``depth``, ``total_s``, ``self_s`` (less its inner stages), and sizes.
 """
 
 from __future__ import annotations
@@ -18,8 +21,10 @@ import gc
 import re
 import sys
 from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
+from time import perf_counter
 from typing import Iterable, Mapping, Optional
 
 TOKEN_RE = re.compile(r"[A-Za-z0-9_.*'+-]+\Z")
@@ -27,6 +32,7 @@ TOKEN_RE = re.compile(r"[A-Za-z0-9_.*'+-]+\Z")
 # A symbol is an interned token string; a symbol set is a frozenset of them.
 SymbolSet = frozenset
 Transition = tuple  # (src, label: SymbolSet, dst)
+_entries = _open = None  # the open record's entries, and its running stages' inner totals
 
 
 class ModelError(ValueError):
@@ -65,6 +71,52 @@ class UnknownMachine(ModelError):
     pass
 
 
+def stage(name: str, sizes=None):
+    """Run the decorated function as the stage ``name``, with the cyclic collector off.
+
+    Stages make millions of acyclic ints and tuples that a collection scans in vain;
+    the caller's state is restored on exit.  A :func:`record` adds ``sizes(result, *args)``.
+    """
+
+    def wrap(fn):
+        @wraps(fn)
+        def staged(*args, **kwargs):  # a plain wrapper: a tenth of a contextmanager's cost
+            if gc.isenabled():
+                gc.disable()
+                try:
+                    return fn(*args, **kwargs) if _entries is None else staged(*args, **kwargs)
+                finally:
+                    gc.enable()
+            if _entries is None:
+                return fn(*args, **kwargs)
+            _entries.append(entry := {"stage": name, "depth": len(_open) - 1})
+            _open.append(0.0)
+            start = perf_counter()
+            try:
+                result = fn(*args, **kwargs)
+            finally:
+                entry["total_s"] = total = perf_counter() - start
+                entry["self_s"] = total - _open.pop()  # less the totals of its inner stages
+                _open[-1] += total
+            entry.update(sizes(result, *args) if sizes else ())
+            return result
+
+        return staged
+
+    return wrap
+
+
+@contextmanager
+def record():
+    """``with record() as entries:`` appends an entry per stage call inside to ``entries``."""
+    global _entries, _open
+    _entries, _open = [], [0.0]  # records do not nest
+    try:
+        yield _entries
+    finally:
+        _entries = None
+
+
 def _token(kind: str, name: str, error=ModelError) -> str:
     """Validate one token and return it; the only reader of ``TOKEN_RE``.
 
@@ -82,7 +134,9 @@ def symbol(name: str) -> str:
 
 
 def symbol_set(names: Iterable[str]) -> SymbolSet:
-    """Validate and intern a set of symbol tokens."""
+    """Validate and intern a set of symbol tokens; a str is not a set of its characters."""
+    if isinstance(names, str):
+        raise BadSymbol(f"expected a set of symbols, got the string {names!r}")
     return frozenset(symbol(n) for n in names)
 
 
@@ -150,6 +204,7 @@ class Fsm:
         )
 
 
+@stage("validate_fsm")
 def validate_fsm(
     fsm_id: str,
     states: Iterable[str],
@@ -168,6 +223,8 @@ def validate_fsm(
     machines.  Each distinct symbol set is checked once.
     """
     fsm_id = _token("fsm id", fsm_id)
+    if isinstance(states, str):
+        raise ModelError(f"fsm {fsm_id}: expected a set of state ids, got the string {states!r}")
     # an equal string -> the declared id, in id order
     declared = {s: s for s in sorted({_token("state id", s) for s in states})}
     inp = symbol_set(inputs)
@@ -177,7 +234,7 @@ def validate_fsm(
     seen = {}
 
     def checked(names) -> SymbolSet:
-        key = names if isinstance(names, frozenset) else tuple(names)
+        key = names if isinstance(names, (frozenset, str)) else tuple(names)  # symbol_set: no str
         try:
             value = seen.get(key)
         except TypeError:  # an unhashable member, which symbol() rejects
@@ -403,26 +460,3 @@ def _arena(arena_id, vertices, edges) -> Arena:
 
     ordered_vertices = tuple(sorted(vmap.items()))
     return Arena(arena_id, ordered_vertices, tuple(sorted(edge_set)))
-
-
-def paused_gc(fn):
-    """Run ``fn`` with the cyclic garbage collector off.
-
-    Expansion and refinement allocate millions of ints and tuples that
-    cannot form cycles, and each collection the allocations trigger scans
-    them all; reference counting still frees them.  The caller's
-    ``gc.isenabled()`` state is restored on every exit.  A plain wrapper
-    costs a tenth of a ``contextmanager``, which matters on small arenas.
-    """
-
-    @wraps(fn)
-    def paused(*args, **kwargs):
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            if enabled:
-                gc.enable()
-
-    return paused

@@ -1,5 +1,7 @@
 import ast
+import contextlib
 import dataclasses
+import gc
 import operator
 import random
 from pathlib import Path
@@ -8,7 +10,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from afsm import (
+    expand,
     load_fixture,
+    quotient,
+    record,
+    reduce,
     symbol,
     symbol_set,
     validate_arena,
@@ -306,6 +312,31 @@ def test_only_the_token_checker_reads_the_token_grammar():
     assert found == {"model.py": [None, "_token"]}  # its definition and its one reader
 
 
+def test_a_string_is_not_a_set_of_its_characters():
+    # a bare str would otherwise be read as a set of one-character tokens
+    def fault(**changed):
+        args = dict(states=["x"], inputs=["e", "n", "d"], outputs=["e", "n", "d"],
+                    output_map={"x": ["end"]}, transitions=[("x", ["e"], "x")])
+        args.update(changed)
+        with pytest.raises(ModelError) as exc:
+            validate_fsm("m", **args)
+        return type(exc.value), str(exc.value)
+
+    assert fault(output_map={"x": "end"}) == (
+        BadSymbol, "expected a set of symbols, got the string 'end'",
+    )
+    assert fault(transitions=[("x", "end", "x")])[0] is BadSymbol
+    assert fault(inputs="end")[0] is BadSymbol
+    assert fault(outputs="end")[0] is BadSymbol
+    assert fault(states="xy", output_map={"x": [], "y": []}) == (
+        ModelError, "fsm m: expected a set of state ids, got the string 'xy'",
+    )
+    with pytest.raises(BadSymbol, match="'ab'"):
+        symbol_set("ab")
+    # a one-symbol set is still read from any other iterable
+    assert symbol_set(("ab",)) == frozenset({"ab"})
+
+
 def test_validate_arena_and_predecessors():
     doc = load_fixture("euclid.afsm")
     arena = doc.arenas["euclid"]
@@ -374,3 +405,98 @@ def test_shared_machine_between_vertices():
     machines = dict(arena.vertices)
     assert machines["v"] is machines["w"]
 
+
+
+def test_stages_keep_nothing_outside_a_record():
+    arena = load_fixture("ecoli.afsm").arenas["ecoli"]
+    with record() as entries:
+        pass
+    reduce(arena)
+    assert entries == []
+    assert model._entries is None
+
+
+def test_the_record_of_reduce_holds_its_stages_at_their_depths():
+    arena = load_fixture("ecoli.afsm").arenas["ecoli"]
+    with record() as entries:
+        minimal, _ = reduce(arena)
+    assert [(e["stage"], e["depth"]) for e in entries] == [
+        ("reduce", 0),
+        ("machine_classes", 1), ("_blocks", 2), ("_refine", 3),
+        ("_arena_quotient", 1), ("_refine", 2),
+        ("explore", 1),
+        ("minimal", 1), ("_refine", 2),
+        ("count_transitions", 1),
+    ]
+    explore = entries[6]
+    assert (explore["mode"], explore["states"]) == ("accessible", 306)
+    last = entries[8]
+    assert (last["states"], last["blocks"]) == (306, len(minimal.states))
+    assert last["moves"] > last["states"]
+
+
+def test_self_times_and_inner_totals_fit_in_their_stage():
+    arena = load_fixture("euclid.afsm").arenas["euclid"]
+    with record() as entries:
+        quotient(expand(arena, mode="full").fsm)
+    assert {e["stage"] for e in entries} >= {"expand", "explore", "_walk", "assemble", "quotient"}
+    for i, e in enumerate(entries):
+        assert 0 <= e["self_s"] <= e["total_s"]
+        inner = []
+        for later in entries[i + 1:]:
+            if later["depth"] <= e["depth"]:
+                break
+            if later["depth"] == e["depth"] + 1:
+                inner.append(later["total_s"])
+        assert sum(inner) <= e["total_s"]
+        assert e["self_s"] == pytest.approx(e["total_s"] - sum(inner), abs=1e-9)
+
+
+@pytest.mark.parametrize("recording", [False, True])
+@pytest.mark.parametrize("enabled", [True, False])
+def test_a_stage_that_raises_restores_the_collector(enabled, recording):
+    arena = load_fixture("ecoli.afsm").arenas["ecoli"]
+    before = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with record() if recording else contextlib.nullcontext([]) as entries:
+            with pytest.raises(model.ModelError):
+                expand(arena, mode="accessible", max_states=50)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if before else gc.disable)()
+    # the stages that raised are timed too
+    assert [e["stage"] for e in entries] == (["expand", "explore"] if recording else [])
+    assert all(e["total_s"] >= 0 for e in entries)
+
+
+def test_only_the_stage_wrapper_pauses_the_collector():
+    # model.stage is the one place that turns the cyclic collector off
+    def disables_gc(call):
+        func = call.func
+        return (
+            isinstance(func, ast.Attribute)
+            and func.attr == "disable"
+            and isinstance(func.value, ast.Name)
+            and func.value.id == "gc"
+        )
+
+    assert calls_in_package(disables_gc) == {"model.py": ["staged"]}
+
+
+def test_the_timing_script_reads_no_private_name():
+    # tests/stage_timing.py reads the library through its public names and
+    # the stage record only, so refactoring private code cannot break it
+    script = Path(__file__).resolve().parent / "stage_timing.py"
+    private = []
+    for node in ast.walk(ast.parse(script.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.ImportFrom):
+            names = [*(node.module or "").split("."), *(a.name for a in node.names)]
+        elif isinstance(node, ast.Import):
+            names = [part for a in node.names for part in a.name.split(".")]
+        else:
+            continue
+        private += [n for n in names if n.startswith("_") and not n.startswith("__")]
+    assert private == []
