@@ -1,7 +1,7 @@
 """Bisimulation equivalence: maximal relation, decision, quotient, isomorphism.
 
 Every question is answered by one partition refinement on the integer
-moves that ``model._index`` gives: of the disjoint union of the machines
+moves that ``model._reach`` gives: of the disjoint union of the machines
 involved, or, where initial states decide the answer, of only the part
 of it that they reach.  States start grouped by output set.  The
 well-founded states, whose every path ends in a state with no move, are
@@ -21,14 +21,16 @@ a 2-tuple never compare equal, and moves that collapse to one pair are
 keyed as that pair, so two states share a key iff their sets do.
 Two states are bisimilar iff they share a block, so R*, the verdict on
 machines without initial states and the self-partition are read off the
-block ids that :func:`_blocks` returns.  ``model._reach`` gives the
-reachable part of a machine, the states its initial state reaches and
-their moves: :func:`is_bisimilar` of two machines with initial states
+block ids that :func:`_blocks` returns.  ``model._reach`` walks a
+machine's states from where each one's transitions start, which the
+machine keeps, so it reads only the transitions of the states it
+reaches: :func:`is_bisimilar` of two machines with initial states
 refines only the two machines' reachable parts, as on-the-fly checking
 does.  :func:`_minimal` refines a machine given on integers and builds its
-minimal machine, each block named after its least member;
-:func:`quotient` hands it the reachable part, and
-``expand._Expander.minimal`` the explored part of a product.
+minimal machine, each block named after its least member, with its
+transitions already in canonical order; :func:`quotient` hands it the
+reachable part, and ``expand._Expander.minimal`` the explored part of a
+product.
 :func:`_isomorphism` uses the same refinement, on moves read both ways:
 it pairs one state of each machine by hand and refines again, depth
 first, until every block is one pair.  A brute-force greatest-fixpoint
@@ -37,7 +39,9 @@ oracle over the dense pair table is provided for cross-checking.
 
 from __future__ import annotations
 
-from .model import Fsm, _fsm, _index, _reach, stage
+from itertools import islice
+
+from .model import Fsm, _fsm, _label_key, _reach, stage
 
 _ISO_GUARD = 12
 
@@ -310,18 +314,39 @@ def _minimal(fsm_id, inputs, outputs, names, keys, succ, initial, labels, as_set
     key to its id; ``initial`` is a state or None.  ``as_set`` turns an
     output or label key into its frozenset.  Each block of the refinement
     is represented by its member of least name, and only the
-    representatives' sets and transitions are built.
+    representatives' sets and transitions are built.  Representatives are
+    taken in name order, and each one's moves are put in canonical order
+    as (label rank, target rank) keys, so the machine is handed to
+    ``model._fsm`` in order, with the index of each state's first
+    transition.
     """
     block = _refine(len(names), keys, succ)
-    least = {}  # block -> its representative
+    least = {}  # block -> its representative, in name order
     for p in sorted(range(len(names)), key=names.__getitem__):
         least.setdefault(block[p], p)
-    rep = [names[least[b]] for b in block]
+    reps = [names[p] for p in least.values()]
+    k = len(reps)
+    rank = {b: r for r, b in enumerate(least)}
+    target = [rank[b] for b in block]  # per state: the rank of its block's representative
     label = list(map(as_set, labels))
-    trans = [(names[p], label[lab], rep[d]) for p in least.values() for lab, d in succ[p]]
+    by_key = sorted(range(len(label)), key=lambda lab: _label_key(label[lab]))
+    label_of = [label[lab] for lab in by_key]  # per label rank: its set
+    label_rank = [0] * len(label)  # per label id: its rank, times k
+    for r, lab in enumerate(by_key):
+        label_rank[lab] = r * k
+    trans, starts = [], {}
+    for name, p in zip(reps, least.values()):
+        starts[name] = len(trans)
+        moves = succ[p]
+        if len(moves) == 1:
+            ((lab, d),) = moves
+            trans.append((name, label[lab], reps[target[d]]))
+        elif moves:
+            order = sorted({label_rank[lab] + target[d] for lab, d in moves})
+            trans += [(name, label_of[x // k], reps[x % k]) for x in order]
     out_map = {names[p]: as_set(keys[p]) for p in least.values()}
-    start = None if initial is None else rep[initial]
-    return _fsm(fsm_id, out_map, start, inputs, outputs, out_map, trans)
+    start = None if initial is None else reps[target[initial]]
+    return _fsm(fsm_id, reps, start, inputs, outputs, out_map, trans, starts=starts)
 
 
 @stage("_blocks")
@@ -329,27 +354,27 @@ def _blocks(*machines) -> list:
     """Refine the disjoint union of ``machines`` once.
 
     Labels are interned across all machines, so block ids are comparable
-    between them.  Returns, per machine, a dict state -> block id; two
-    states (of the same or of different machines) are bisimilar iff their
-    block ids are equal.
+    between them.  Returns, per machine, the list of the block ids of its
+    states, in ``states`` order; two states (of the same or of different
+    machines) are bisimilar iff their block ids are equal.
     """
     labels = {}
     outputs = []
     succ = []
     for m in machines:
-        succ += _index(m, labels, len(outputs))
+        succ += _reach(m, labels, len(outputs), every=True)[1]
         outputs += map(m.output_map.__getitem__, m.states)
-    # one iterator over the block ids: each machine's zip takes its own states' share
+    # one iterator over the block ids: each machine takes its own states' share
     block = iter(_refine(len(outputs), outputs, succ))
-    return [dict(zip(m.states, block)) for m in machines]
+    return [list(islice(block, len(m.states))) for m in machines]
 
 
-def _pairs(b1: dict, b2: dict) -> frozenset:
-    """R* as state pairs, read off the block ids of two machines."""
+def _pairs(s1, b1: list, s2, b2: list) -> frozenset:
+    """R* as state pairs, read off the block ids ``b1`` of the states ``s1`` and ``b2`` of ``s2``."""
     by_block = {}
-    for s, b in b2.items():
+    for s, b in zip(s2, b2):
         by_block.setdefault(b, []).append(s)
-    return frozenset((s1, s2) for s1, b in b1.items() for s2 in by_block.get(b, ()))
+    return frozenset((x, y) for x, b in zip(s1, b1) for y in by_block.get(b, ()))
 
 
 def _check_initials(m1: Fsm, m2: Fsm) -> None:
@@ -364,7 +389,7 @@ def _check_initials(m1: Fsm, m2: Fsm) -> None:
         )
 
 
-def _verdict(m1: Fsm, m2: Fsm, b1: dict, b2: dict) -> bool:
+def _verdict(m1: Fsm, m2: Fsm, b1: list, b2: list) -> bool:
     """m1 = m2 up to bisimulation, given their block ids in one refinement.
 
     With initial states on both sides the verdict is membership of the
@@ -373,8 +398,8 @@ def _verdict(m1: Fsm, m2: Fsm, b1: dict, b2: dict) -> bool:
     ruled out mixed presence with :func:`_check_initials`.
     """
     if m1.initial is not None:
-        return b1[m1.initial] == b2[m2.initial]
-    return set(b1.values()) == set(b2.values())
+        return b1[m1.states.index(m1.initial)] == b2[m2.states.index(m2.initial)]
+    return set(b1) == set(b2)
 
 
 def max_bisimulation(m1: Fsm, m2: Fsm) -> frozenset:
@@ -383,7 +408,8 @@ def max_bisimulation(m1: Fsm, m2: Fsm) -> frozenset:
     Two states are related iff they end up in the same block of the
     refined partition of the disjoint union.
     """
-    return _pairs(*_blocks(m1, m2))
+    b1, b2 = _blocks(m1, m2)
+    return _pairs(m1.states, b1, m2.states, b2)
 
 
 def self_partition(m: Fsm) -> tuple:
@@ -393,7 +419,7 @@ def self_partition(m: Fsm) -> tuple:
     """
     (block,) = _blocks(m)
     groups = {}
-    for s, b in block.items():
+    for s, b in zip(m.states, block):
         groups.setdefault(b, []).append(s)
     return tuple(sorted(map(frozenset, groups.values()), key=min))
 
@@ -457,7 +483,7 @@ def is_bisimilar(m1: Fsm, m2: Fsm) -> bool:
     return block[0] == block[n1]
 
 
-@stage("quotient")
+@stage("quotient", lambda q, m: {"states": len(m.states), "states_out": len(q.states)})
 def quotient(m: Fsm) -> Fsm:
     """The minimal machine bisimilar to ``m``.
 
@@ -499,7 +525,7 @@ def _isomorphism(m1: Fsm, m2: Fsm) -> dict | None:
     if n != len(m2.states) or (m1.initial is None) != (m2.initial is None):
         return None
     labels = {}
-    forward = _index(m1, labels) + _index(m2, labels, n)
+    forward = _reach(m1, labels, 0, every=True)[1] + _reach(m2, labels, n, every=True)[1]
     moves = [list(out) for out in forward]
     back = len(labels)
     for s, out in enumerate(forward):

@@ -103,16 +103,16 @@ def cmd_check_bisim(args) -> tuple[int, RunReport]:
     b1, b2 = _blocks(m1, m2)
     verdict = _verdict(m1, m2, b1, b2)
     # R* holds every pair of states of one block, so its size needs no pairs
-    size = Counter(b2.values())
-    pairs = sum(map(size.__getitem__, b1.values()))
-    rel = _pairs(b1, b2) if args.oracle or args.witness else None
+    size = Counter(b2)
+    pairs = sum(map(size.__getitem__, b1))
+    rel = _pairs(m1.states, b1, m2.states, b2) if args.oracle or args.witness else None
     if args.oracle:
         if rel != naive_bisim_oracle(m1, m2):
             raise CliError("oracle divergence: refinement and fixpoint disagree")
         report.statistics["oracle"] = "agree"
     report.verdict = verdict
     report.statistics["pairs"] = pairs
-    report.statistics["blocks"] = len(set(b1.values()) | set(b2.values()))
+    report.statistics["blocks"] = len(set(b1).union(size))  # size holds the blocks of b2
     report.statistics["elapsed_ms"] = round((time.perf_counter() - t0) * 1000, 3)
     if args.witness:
         report.listing += [f"  {a} ~ {b}" for a, b in sorted(rel)]

@@ -31,9 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import bisim  # ``bisim._refine`` is looked up per call, as in ``bisim`` itself
 from .model import Arena, Fsm, ModelError, _arena, _fsm, stage
-from .bisim import InitialStateMismatch, _blocks, _pairs
+from .bisim import InitialStateMismatch, _blocks, _pairs, _refine
 from .expand import DEFAULT_MAX_STATES, _check_guard, _Expander
 
 
@@ -92,7 +91,7 @@ def machine_classes(a1: Arena, a2: Arena | None = None) -> MachineClasses:
         members.setdefault(fsm, []).append((tag, v))
     groups = {}
     for (fsm, vertices), block in zip(members.items(), _blocks(*members)):
-        key = block[fsm.initial] if fsm.initial is not None else frozenset(block.values())
+        key = block[fsm.states.index(fsm.initial)] if fsm.initial is not None else frozenset(block)
         groups.setdefault(key, []).extend(vertices)
 
     # canonical order: by least member of each class
@@ -149,13 +148,13 @@ def _comp_blocks(a1: Arena, a2: Arena, classes: MachineClasses) -> tuple:
     """
     out1, succ1 = _induced(a1, classes, 0)
     out2, succ2 = _induced(a2, classes, 1, len(out1))
-    block = bisim._refine(len(out1) + len(out2), out1 + out2, succ1 + succ2)
+    block = _refine(len(out1) + len(out2), out1 + out2, succ1 + succ2)
     return block[: len(out1)], block[len(out1) :]
 
 
 def _comp_pairs(a1: Arena, a2: Arena, b1: list, b2: list) -> frozenset:
     """The vertex pairs of a1 x a2 with equal block ids, given by :func:`_comp_blocks`."""
-    return _pairs(dict(zip(a1.vertex_ids, b1)), dict(zip(a2.vertex_ids, b2)))
+    return _pairs(a1.vertex_ids, b1, a2.vertex_ids, b2)
 
 
 def comp_bisimulation(a1: Arena, a2: Arena) -> frozenset:
@@ -188,7 +187,7 @@ def arena_quotient(arena: Arena) -> Arena:
 def _arena_quotient(arena: Arena, classes: MachineClasses) -> Arena:
     """:func:`arena_quotient`, given the machine classes of ``arena``."""
     outputs, succ = _induced(arena, classes)
-    block = bisim._refine(len(outputs), outputs, succ)
+    block = _refine(len(outputs), outputs, succ)
     least = {}  # block -> (its least vertex, its machine); vertices are in id order
     for (v, fsm), b in zip(arena.vertices, block):
         least.setdefault(b, (v, fsm))

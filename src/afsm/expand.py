@@ -20,9 +20,10 @@ machine on integers:
   (label mask, code) pairs, each packed into one int, so coinciding
   combinations collapse as they arise.
 
-The expander's tables are built in one pass over ``model._index``'s
-moves.  One fold, built once per expander (``_Expander.fold``), computes this
-step for a set of vertices whose digits are fixed: it strips their moves
+The expander's tables are built in one pass over the moves that
+``model._reach`` gives for every state of each machine.  One fold, built
+once per expander (``_Expander.fold``), computes this step for a set of
+vertices whose digits are fixed: it strips their moves
 of their predecessors' outputs, sums the vertices with one move into one
 pair, and folds in the vertices with several.  Every path to successors
 goes through it: the full walk, the accessible walk and the transition
@@ -47,8 +48,10 @@ vertices of each state it reaches at once (:meth:`_Expander.successors`).
 
 Assembly (:meth:`_Expander.assemble`) then decodes each distinct label
 and output mask once (:meth:`_Expander.symbol_sets`), ranks the names and
-the labels once, and builds the transitions already in canonical order,
-which ``model._fsm`` checks in one scan and keeps.  It consumes the
+the labels once, and builds the transitions already in canonical order.
+Each state's successors are distinct, so its transitions start where its
+predecessors' in name order end: ``model._fsm`` is handed these starts
+with the transitions, and keeps both as they are.  It consumes the
 successors: once they are sort keys it empties their list, and it decodes
 the sorted keys into transitions in place, so each transition is held in
 one form at a time.  ``parts`` decodes a name when it is looked up.
@@ -74,7 +77,6 @@ from __future__ import annotations
 
 import math
 import re
-from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import reduce
@@ -83,7 +85,7 @@ from itertools import accumulate, islice, product
 from operator import getitem, mul, or_
 
 from .bisim import _minimal
-from .model import Arena, Fsm, ModelError, _fsm, _index, _label_key, stage
+from .model import Arena, Fsm, ModelError, _fsm, _label_key, _reach, stage
 
 # A full expansion of E. coli's 55,296-state quotient arena (400,000
 # transitions) raises peak RSS from 17.6 MB to 82.0 MB in a fresh
@@ -171,20 +173,19 @@ def composite_parts(name: str, arity: int) -> tuple:
 class _Parts(Mapping):
     """Each state id of a product -> its tuple of parts, decoded when it is looked up."""
 
-    def __init__(self, states: tuple, arity: int):
-        self._states, self._arity = states, arity  # states in id order
+    def __init__(self, fsm: Fsm, arity: int):
+        self._fsm, self._arity = fsm, arity
 
     def __getitem__(self, name):
-        i = bisect_left(self._states, name) if isinstance(name, str) else len(self._states)
-        if i == len(self._states) or self._states[i] != name:
+        if not isinstance(name, str) or name not in self._fsm.output_map:
             raise KeyError(name)
         return composite_parts(name, self._arity)
 
     def __iter__(self):
-        return iter(self._states)
+        return iter(self._fsm.states)
 
     def __len__(self):
-        return len(self._states)
+        return len(self._fsm.states)
 
 
 class _Expander:
@@ -224,7 +225,7 @@ class _Expander:
         self.outputs, self.moves, self.label_bits = [], [], []
         labels, mask = {}, []  # shared, so each distinct label gets one mask
         for m, w in zip(machines, self.weights):
-            succ = _index(m, labels)
+            succ = _reach(m, labels, every=True)[1]
             mask += [sum(map(bit.__getitem__, u)) for u in islice(labels, len(mask), None)]
             self.outputs.append([sum(map(bit.__getitem__, m.output_map[s])) for s in m.states])
             moves, label_bits = [], []
@@ -317,7 +318,8 @@ class _Expander:
             sets[u] = frozenset(members)
         return sets
 
-    @stage("explore", lambda found, ex, mode, _: {"mode": mode, "states": len(found[0])})
+    @stage("explore", lambda found, ex, mode, _: {
+        "mode": mode, "states": len(found[0]), "transitions": sum(map(len, found[3]))})
     def explore(self, mode: str, max_states: int):
         """Ascending codes of the expansion's states, and their names, outputs and successors.
 
@@ -503,8 +505,10 @@ class _Expander:
         State names are sorted once and distinct label masks ranked once,
         by ``_label_key``.  Each transition gets one int key of source,
         label and target rank, in bit fields, and the keys are sorted once,
-        so each tuple is built once and in canonical order, and
-        ``model._fsm`` keeps them as they are.  ``succ`` is consumed: it is
+        so each tuple is built once and in canonical order.  Successors are
+        distinct, so a state's transitions start after its predecessors' in
+        name order, and ``model._fsm`` keeps the transitions and these
+        starts as they are.  ``succ`` is consumed: it is
         emptied once the keys are built, and the sorted keys are decoded
         into transitions in place, a slice at a time, so no transition is
         held in two forms at once.  ``parts`` decodes a state's name when
@@ -532,6 +536,7 @@ class _Expander:
             for s, i in zip(range(0, n << sb, 1 << sb), by_name)
             for p in succ[i]
         ]
+        starts = dict(zip(ordered, accumulate(map(len, map(succ.__getitem__, by_name)), initial=0)))
         succ.clear()  # every transition is a key now
         del by_name, rank, rank_of, label_rank  # before the decode and _fsm, which set the peak
         transitions.sort()
@@ -543,9 +548,9 @@ class _Expander:
             ]
         out_map = dict(zip(names, map(self.symbol_sets(outputs, shift).__getitem__, outputs)))
         fsm_id, inputs, outputs = self.header
-        fsm = _fsm(fsm_id, ordered, initial, inputs, outputs, out_map, transitions, label_of)
+        fsm = _fsm(fsm_id, ordered, initial, inputs, outputs, out_map, transitions, starts=starts)
         del transitions, ordered  # the machine holds its own copies
-        return CompositeFsm(fsm, self.order, _Parts(fsm.states, len(self.order)))
+        return CompositeFsm(fsm, self.order, _Parts(fsm, len(self.order)))
 
     @stage("minimal")
     def minimal(self, codes, names, outputs, succ) -> Fsm:

@@ -9,7 +9,11 @@ An ``Arena`` is a self-loop-free directed graph whose vertices each carry
 an ``Fsm``.  Distinct vertices may share one machine definition.
 
 All types are immutable after validation and canonically ordered, so that
-serialization and downstream computations are deterministic.
+serialization and downstream computations are deterministic.  A machine's
+transitions are grouped by source, in state order, and the machine keeps
+the index of each state's first transition, which the code that put the
+transitions in order hands over (:func:`_fsm`); :func:`_reach`, the one
+walk that turns a machine's states into integers, reads them.
 
 Inside ``with record() as entries:`` each :func:`stage` call appends to ``entries``
 its ``stage`` name, ``depth``, ``total_s``, ``self_s`` (less its inner stages), and sizes.
@@ -20,10 +24,9 @@ from __future__ import annotations
 import gc
 import re
 import sys
-from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property, wraps
+from functools import wraps
 from time import perf_counter
 from typing import Iterable, Mapping, Optional
 
@@ -144,7 +147,7 @@ def _label_key(label: SymbolSet) -> tuple:
     return tuple(sorted(label))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Fsm:
     """A canonically ordered finite state machine.
 
@@ -156,6 +159,10 @@ class Fsm:
     canonical order, is the only code that calls this constructor.
     The hash covers only the id, the initial state and the alphabets, whose
     hashes CPython caches, so hashing a machine of any size is O(1).
+    ``_starts`` maps each state to the index of its first transition; a
+    state without one maps to an index at which a reader finds no
+    transition of it.  It takes no part in equality, hash or repr, and
+    ``dataclasses.replace`` copies it as it is.
     """
 
     id: str
@@ -165,17 +172,24 @@ class Fsm:
     outputs: SymbolSet
     output_map: Mapping[str, SymbolSet] = field(hash=False)
     transitions: tuple = field(hash=False)  # of (src, label, dst), canonically sorted
+    _starts: Mapping[str, int] = field(hash=False, compare=False, repr=False)
 
-    @cached_property
-    def _succ(self) -> dict:
-        succ = {s: [] for s in self.states}
-        for src, label, dst in self.transitions:
-            succ[src].append((label, dst))
-        return succ
+    def __init__(self, id, states, initial, inputs, outputs, output_map, transitions, _starts):
+        # one store of the instance dict: a frozen dataclass's own __init__ makes
+        # a guarded store per field, at twice the cost
+        object.__setattr__(self, "__dict__", {
+            "id": id, "states": states, "initial": initial, "inputs": inputs, "outputs": outputs,
+            "output_map": output_map, "transitions": transitions, "_starts": _starts,
+        })
 
     def successors(self, state: str):
-        """Outgoing (label, dst) pairs of ``state``."""
-        return self._succ[state]
+        """Outgoing (label, dst) pairs of ``state``, in canonical order."""
+        trans, i = self.transitions, self._starts[state]
+        moves = []
+        while i < len(trans) and trans[i][0] == state:
+            moves.append(trans[i][1:])
+            i += 1
+        return moves
 
     def renamed(self, new_id: str, mapping: Mapping[str, str]) -> "Fsm":
         """Copy of this machine with states renamed through ``mapping``.
@@ -301,96 +315,115 @@ def _from_tokens(fsm_id, states, initial, inputs, outputs, output_map, transitio
     return _fsm(fsm_id, states, initial, inputs, outputs, output_map, transitions, labels)
 
 
-def _fsm(fsm_id, states, initial, inputs, outputs, output_map, transitions, labels=None) -> Fsm:
+def _fsm(fsm_id, states, initial, inputs, outputs, output_map, transitions, labels=None,
+         starts=None) -> Fsm:
     """The one trusted constructor: an ``Fsm`` in canonical order.
 
     The arguments are trusted to describe a valid machine: distinct state
     ids, and transitions in any order whose endpoints are among them.
     ``labels``, if given, are the distinct labels of the transitions, which
     a caller that has them passes so that they are not collected again.
-    States are sorted by id, and each state and each distinct label is
-    ranked once.  Transitions are ordered by (src, _label_key(label), dst).
-    One scan, which stops at the first transition out of that order, keeps
+    A caller that has put the states in id order and the transitions in
+    canonical order, without repeats, passes ``starts``, each state's index
+    of its first transition as :class:`Fsm` keeps it, and the machine is
+    built from its arguments as they are.  Otherwise states are sorted by
+    id and transitions ordered by (src, _label_key(label), dst): one scan,
+    which stops at the first transition out of that order, keeps
     transitions that are already strictly in order, and so distinct, as
-    given.  Other transitions are keyed by one packed int of source,
-    label and target rank, and sorted once, so equal transitions collapse
-    into one.  (Keys pass 2**30 where the states squared times the labels
-    do, and such ints sort at about two thirds of the speed of smaller
-    ones; grouping by source first costs a dict and a sort per state.)
+    given, and records where each source starts.  Other transitions are
+    keyed by one packed int of source, label and target rank, and sorted
+    once, so equal transitions collapse into one; the rank of each source
+    then gives way to the index of its first transition.  (Keys pass 2**30
+    where the states squared times the labels do, and such ints sort at
+    about two thirds of the speed of smaller ones; grouping by source
+    first costs a dict and a sort per state.)
     """
-    states = sorted(states)
-    transitions = tuple(transitions)
-    if labels is None:
-        labels = {u for _, u, _ in transitions}
-    labels = sorted(labels, key=_label_key)
-    n = len(states)
-    rank = {s: r for r, s in enumerate(states)}
-    label_rank = {u: r * n for r, u in enumerate(labels)}
-    if not _in_order(transitions, rank, label_rank):
-        stride = n * len(labels)  # above every label rank plus target rank
-        keyed = {rank[t[0]] * stride + label_rank[t[1]] + rank[t[2]]: t for t in transitions}
-        transitions = tuple(map(keyed.__getitem__, sorted(keyed)))
-    return Fsm(fsm_id, tuple(states), initial, inputs, outputs, output_map, transitions)
+    if starts is None:
+        states = sorted(states)
+        transitions = tuple(transitions)
+        if labels is None:
+            labels = {u for _, u, _ in transitions}
+        n = len(states)
+        # ranked by their sorted members, which compare as _label_key's tuples do
+        label_rank = {u: r * n for r, u in enumerate(sorted(labels, key=sorted))}
+        starts = _in_order(transitions, label_rank)
+        if starts is None:
+            starts = rank = {s: r for r, s in enumerate(states)}
+            stride = n * len(label_rank)  # above every label rank plus target rank
+            keyed = {rank[t[0]] * stride + label_rank[t[1]] + rank[t[2]]: t for t in transitions}
+            transitions = tuple(map(keyed.__getitem__, sorted(keyed)))
+            for i in range(len(transitions) - 1, -1, -1):  # so each source keeps its first index
+                rank[transitions[i][0]] = i
+        elif len(starts) < n:  # a state without transitions starts at the end, where none is
+            for s in states:
+                starts.setdefault(s, len(transitions))
+    return Fsm(fsm_id, tuple(states), initial, inputs, outputs, output_map, tuple(transitions), starts)
 
 
-def _in_order(transitions, rank, label_rank) -> bool:
-    """Whether ``transitions`` are strictly in canonical order; stops at the first that is not.
+def _in_order(transitions, label_rank):
+    """Each source -> the index of its first transition, if ``transitions`` are
+    strictly in canonical order; None from the first transition that is not.
 
-    Sources are compared as ids, and ``""`` sorts below every id.  A
-    source equal to the one before it but another object reads as out
-    of order, which only costs the caller a sort.
+    Sources and targets are compared as ids, and ``""`` sorts below every
+    id.  A source equal to the one before it but another object reads as
+    out of order, which only costs the caller a sort.
     """
-    last_src, last = "", -1
-    for src, label, dst in transitions:
-        key = label_rank[label] + rank[dst]
+    starts = {}
+    last_src, last_rank, last_dst = "", -1, ""
+    for i, (src, label, dst) in enumerate(transitions):
+        r = label_rank[label]
         if src is not last_src:
             if src <= last_src:
-                return False
+                return None
+            starts[src] = i
             last_src = src
-        elif key <= last:
-            return False
-        last = key
-    return True
+        elif r < last_rank or r == last_rank and dst <= last_dst:
+            return None
+        last_rank, last_dst = r, dst
+    return starts
 
 
-def _index(m: Fsm, labels: dict, offset: int = 0):
-    """The moves of ``m`` on integers, the one place all its states become positions.
-
-    Returns, per position in ``m.states``, the list of its (label id,
-    ``offset`` + target position) moves.  Each label is interned in
-    ``labels``, which maps a label to its id and may be shared between
-    machines, so that their label ids are comparable.  :func:`_reach`
-    numbers only the states a walk reaches.
-    """
-    pos = {s: i for i, s in enumerate(m.states)}
-    succ = [[] for _ in m.states]
-    for src, label, dst in m.transitions:
-        succ[pos[src]].append((labels.setdefault(label, len(labels)), offset + pos[dst]))
-    return succ
-
-
-def _reach(m: Fsm, labels: dict, offset: int = 0):
+def _reach(m: Fsm, labels: dict, offset: int = 0, every: bool = False):
     """The states of ``m`` that its initial state reaches, and their moves on integers.
 
-    This is the reachable part of ``m``, on which ``bisim.quotient`` and
-    ``bisim.is_bisimilar`` refine.  With no initial state every state
-    counts as reached.  States are numbered from ``offset`` in the order
-    the walk reaches them, the initial state first, and only their
-    transitions are read: those of ``s`` start where bisection puts
-    ``(s,)``, a probe that never compares labels (``<`` on frozensets is
-    subset order).  Returns the reached states and, per position, its
-    (label id, ``offset`` + target position) moves, with labels interned
-    in ``labels`` as by :func:`_index`.
+    This is the one walk that turns a machine's states into positions,
+    numbered from ``offset``.  With ``every``, or with no initial state,
+    every state counts as reached, in ``m.states`` order, and the
+    transitions are read in one pass, a source's moves gathered while it
+    lasts; ``bisim._blocks``, ``bisim._isomorphism`` and
+    ``expand._Expander`` read a machine so.  Otherwise it is the part of
+    ``m`` that ``bisim.quotient`` and ``bisim.is_bisimilar`` refine,
+    numbered in the order the walk reaches it, the initial state first, and
+    only its transitions are read: those of ``s`` run from ``m._starts[s]``
+    while their source is ``s``.  Returns the reached states and, per
+    position, its (label id, ``offset`` + target position) moves.  Each
+    label is interned in ``labels``, which maps a label to its id and may be
+    shared between machines, so that their label ids are comparable.
     """
     trans = m.transitions
-    found = list(m.states) if m.initial is None else [m.initial]
-    at = dict(zip(found, range(offset, offset + len(found))))
+    if every or m.initial is None:
+        found = m.states
+        at = {s: i for i, s in enumerate(m.states, offset)}
+        succ = [[] for _ in found]
+        src = label = None
+        for s, u, d in trans:
+            if u is not label:  # a run of one label is interned once
+                label, lab = u, labels.setdefault(u, len(labels))
+            if s is not src:
+                src, moves = s, succ[at[s] - offset]
+            moves.append((lab, at[d]))
+        return found, succ
+    starts, end = m._starts, len(trans)
+    found = [m.initial]
+    at = {m.initial: offset}
     succ = []
     for s in found:  # grows as the walk reaches new states
         moves = []
-        i = bisect_left(trans, (s,))
-        while i < len(trans) and trans[i][0] == s:
-            _, label, dst = trans[i]
+        i = starts[s]
+        while i < end:
+            src, label, dst = trans[i]
+            if src != s:
+                break
             n = offset + len(found)
             d = at.setdefault(dst, n)
             if d == n:

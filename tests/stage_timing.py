@@ -2,7 +2,8 @@
 
 Run from the root of a checkout::
 
-    python3 tests/stage_timing.py [--before OLD/src] [--after src] [--repeat N] [--rss N] [-o FILE]
+    python3 tests/stage_timing.py [--before OLD/src] [--after src] [--repeat N] [--rss N]
+                                  [--only SUBSTRING ...] [-o FILE]
 
 A side is the ``afsm`` package of one ``src`` tree, imported apart from
 any other copy: ``--after`` (default: this checkout's) and, to compare,
@@ -17,7 +18,8 @@ over the 240 ``comp-campaign`` cases, its networks and ``bench-scaling``;
 ``reduce`` of the fixture's ``ecoli`` and accessible ``expand`` of its
 ``ecoli_min``; and the refinement worst cases: a 4,000-state chain, with
 and without a loop, 1,000 twin states without moves, and a 1,000-state
-chain beside a renamed copy.
+chain beside a renamed copy.  ``--only SUBSTRING``, which may be given
+more than once, times only the inputs whose names contain one of them.
 
 Per input and side it reports the median ms of the call and, from the
 record, per stage its calls and median total and self ms; two sides add
@@ -186,8 +188,11 @@ def rounds(sides, repeat):
     return [list(sides)[::1 if k % 2 else -1] for k in range(repeat)]
 
 
-def timing(sides, files, workdir, repeat) -> dict:
+def timing(sides, files, workdir, repeat, only=None) -> dict:
     calls = {side: inputs(api, files, workdir / side) for side, api in sides.items()}
+    if only:
+        calls = {side: {name: call for name, call in named.items() if any(o in name for o in only)}
+                 for side, named in calls.items()}
     times = {side: {name: [] for name in calls[side]} for side in sides}
     report = {name: {} for name in calls["after"]}
     with contextlib.redirect_stdout(io.StringIO()):
@@ -271,6 +276,8 @@ def main() -> None:
     p.add_argument("--after", default=str(HERE.parent / "src"), help="src directory of the version after")
     p.add_argument("--repeat", type=int, default=21, help="timed calls per input and side")
     p.add_argument("--rss", type=int, default=0, help="fresh-process runs per verb and side")
+    p.add_argument("--only", action="append", metavar="SUBSTRING",
+                   help="time only the inputs whose names contain SUBSTRING (repeatable)")
     p.add_argument("-o", "--output", help="write the JSON document here")
     args = p.parse_args()
     srcs = {side: src for side, src in (("before", args.before), ("after", args.after)) if src}
@@ -280,12 +287,13 @@ def main() -> None:
         "cores": os.cpu_count(),
         "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
         "repeat": args.repeat,
+        "only": args.only,
     }
     sides = {side: load(src) for side, src in srcs.items()}
     with tempfile.TemporaryDirectory() as workdir:
         workdir = Path(workdir)
         files = write_files(sides["after"], workdir)
-        report["inputs"] = timing(sides, files, workdir, args.repeat)
+        report["inputs"] = timing(sides, files, workdir, args.repeat, args.only)
         if args.rss:
             report["rss_runs"] = args.rss
             report["rss"] = rss(srcs, files[1], workdir, args.rss)

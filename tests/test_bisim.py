@@ -19,6 +19,7 @@ from afsm import (
     max_bisimulation,
     naive_bisim_oracle,
     quotient,
+    record,
     self_partition,
     serialize,
     validate_fsm,
@@ -28,6 +29,11 @@ from afsm import cli, compositional
 from afsm.cli import run
 from afsm.formats import ModelDocument
 from conftest import bloated_copy, hyp_fsms, hyp_machines, random_fsm, renamed_copy
+
+
+def refinements(entries) -> list:
+    """The states of each refinement in a stage record, in call order."""
+    return [e["states"] for e in entries if e["stage"] == "_refine"]
 
 
 def double_chain():
@@ -358,54 +364,50 @@ def test_quotient_indexes_only_the_reachable_part(monkeypatch):
     assert counts == [3, 3]
 
 
-def test_is_bisimilar_refines_only_the_reachable_part(monkeypatch):
+def test_is_bisimilar_refines_only_the_reachable_part():
     # three reachable states per machine, and 0 or 10,000 moves between
     # states that the initial state cannot reach: the refinement sees the
     # same six states, and every state once all are reachable
-    sizes = []
-    refine = bisim._refine
-    monkeypatch.setattr(bisim, "_refine", lambda n, *a: sizes.append(n) or refine(n, *a))
     island = [f"u{i:02d}" for i in range(100)]
-    for unreachable in ([], [(a, ["a"], b) for a in island for b in island]):
-        m = validate_fsm(
-            "m", ["r0", "r1", "r2", *island], ["a"], ["y"],
-            {s: ["y"] if s == "r2" else [] for s in ["r0", "r1", "r2", *island]},
-            [("r0", ["a"], "r1"), ("r1", ["a"], "r2"), ("r2", [], "r0"), *unreachable],
-            initial="r0",
-        )
-        assert is_bisimilar(m, renamed_copy(random.Random(2012), m, "r"))
-        reachable = validate_fsm(
-            "m", m.states, m.inputs, m.outputs, m.output_map,
-            [*m.transitions, *(("r0", frozenset(), u) for u in island)],
-            initial="r0",
-        )
-        assert is_bisimilar(reachable, reachable)
-    assert sizes == [6, 206, 6, 206]
+    with record() as entries:
+        for unreachable in ([], [(a, ["a"], b) for a in island for b in island]):
+            m = validate_fsm(
+                "m", ["r0", "r1", "r2", *island], ["a"], ["y"],
+                {s: ["y"] if s == "r2" else [] for s in ["r0", "r1", "r2", *island]},
+                [("r0", ["a"], "r1"), ("r1", ["a"], "r2"), ("r2", [], "r0"), *unreachable],
+                initial="r0",
+            )
+            assert is_bisimilar(m, renamed_copy(random.Random(2012), m, "r"))
+            reachable = validate_fsm(
+                "m", m.states, m.inputs, m.outputs, m.output_map,
+                [*m.transitions, *(("r0", frozenset(), u) for u in island)],
+                initial="r0",
+            )
+            assert is_bisimilar(reachable, reachable)
+    assert refinements(entries) == [6, 206, 6, 206]
 
 
-def test_mixed_initial_presence_fails_before_any_refinement(monkeypatch, tmp_path):
+def test_mixed_initial_presence_fails_before_any_refinement(tmp_path):
     # a 500-state chain with an initial state against one without: the
     # mismatch is raised, and check-bisim exits 2 with its message, before
     # either machine is refined
-    calls = []
-    refine = bisim._refine
-    monkeypatch.setattr(bisim, "_refine", lambda *a: calls.append(1) or refine(*a))
     free = _chain(500, hub=0)
     rooted = validate_fsm(
         "rooted", free.states, free.inputs, free.outputs, free.output_map, free.transitions,
         initial="c0",
     )
     message = "rooted and chain disagree on declaring an initial state"
-    with pytest.raises(InitialStateMismatch) as exc:
-        is_bisimilar(rooted, free)
-    assert str(exc.value) == message
     path = tmp_path / "mixed.afsm"
     path.write_text(serialize(ModelDocument(fsms={"rooted": rooted, "chain": free})))
     err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        assert run(["check-bisim", str(path), "rooted", "chain"]) == 2
+    with record() as entries:
+        with pytest.raises(InitialStateMismatch) as exc:
+            is_bisimilar(rooted, free)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert run(["check-bisim", str(path), "rooted", "chain"]) == 2
+    assert str(exc.value) == message
     assert err.getvalue() == f"error: {message}\n"
-    assert calls == []
+    assert refinements(entries) == []
 
 
 @given(hyp_machines("m"), st.none() | st.integers(0, 13))
@@ -606,56 +608,50 @@ def test_is_isomorphic_agrees_with_brute_force_when_blocks_offer_choices():
     assert answers == {(True, True), (True, False), (False, False)}
 
 
-def test_in_move_stars_need_few_refinements(monkeypatch):
+def test_in_move_stars_need_few_refinements():
     # 16 states: 4 hubs, each with 3 moves into 12 deadlocked leaves of one
     # output.  Only the moves into a leaf tell it apart, so a search that
     # read moves forwards only would pair leaves by hand, far more often.
-    calls = []
-    refine = bisim._refine
-    monkeypatch.setattr(bisim, "_refine", lambda *a: calls.append(1) or refine(*a))
     rng = random.Random(2014)
     for _ in range(20):
         m = in_move_star(rng, 4, 12, 3, labels=rng.choice([("a",), ("a", "b")]))
         r = renamed_copy(rng, m, "r")
-        calls.clear()
-        assert is_isomorphic(m, r)
-        assert len(calls) <= 16
+        with record() as entries:
+            assert is_isomorphic(m, r)
+        assert len(refinements(entries)) <= 16
         assert_is_isomorphism(m, r, bisim._isomorphism(m, r))
 
 
 def test_each_question_is_one_refinement(monkeypatch):
-    calls = []
-    refine = bisim._refine
-    monkeypatch.setattr(bisim, "_refine", lambda *a: calls.append(1) or refine(*a))
-
     doc = load_fixture("counterexample.afsm")
-    machine_classes(doc.arenas["A1"], doc.arenas["A2"])
-    assert len(calls) == 1
+    with record() as entries:
+        machine_classes(doc.arenas["A1"], doc.arenas["A2"])
+    assert len(refinements(entries)) == 1
 
-    calls.clear()
     m1 = load_fixture("euclid.afsm").fsms["M1"]
-    assert is_isomorphic(m1, renamed_copy(random.Random(2011), m1, "r"))
-    assert len(calls) == 1
+    partner = renamed_copy(random.Random(2011), m1, "r")
+    with record() as entries:
+        assert is_isomorphic(m1, partner)
+    assert len(refinements(entries)) == 1
 
-    calls.clear()
-    with contextlib.redirect_stdout(io.StringIO()):
+    with record() as entries, contextlib.redirect_stdout(io.StringIO()):
         assert run(["check-bisim", str(fixture_path("euclid.afsm")), "M1", "M1"]) == 0
-    assert len(calls) == 1
+    assert len(refinements(entries)) == 1
 
     # quotient restricts to the reachable states on integers and builds
     # one machine, the result
-    calls.clear()
     built = []
     fsm = bisim._fsm
-    monkeypatch.setattr(bisim, "_fsm", lambda *a: built.append(1) or fsm(*a))
+    monkeypatch.setattr(bisim, "_fsm", lambda *a, **k: built.append(1) or fsm(*a, **k))
     m = validate_fsm(
         "m", ["s0", "s1", "s2", "island"], ["a"], ["y"],
         {"s0": [], "s1": ["y"], "s2": ["y"], "island": []},
         [("s0", ["a"], "s1"), ("s0", ["a"], "s2"), ("island", ["a"], "s0")],
         initial="s0",
     )
-    assert quotient(m).states == ("s0", "s1")
-    assert len(calls) == 1
+    with record() as entries:
+        assert quotient(m).states == ("s0", "s1")
+    assert refinements(entries) == [3]
     assert len(built) == 1
 
 
@@ -668,9 +664,8 @@ def test_check_comp_bisim_computes_the_classes_once(monkeypatch):
         name: sorted(comp_bisimulation(doc.arenas["A1"], doc.arenas[name]))
         for name in ("A1", "A2")
     }
-    classes_calls, refine_calls = [], []
+    classes_calls = []
     classes_of = compositional.machine_classes
-    refine = bisim._refine
 
     def counted_classes(*a):
         classes_calls.append(1)
@@ -678,17 +673,15 @@ def test_check_comp_bisim_computes_the_classes_once(monkeypatch):
 
     monkeypatch.setattr(compositional, "machine_classes", counted_classes)
     monkeypatch.setattr(cli, "machine_classes", counted_classes)
-    monkeypatch.setattr(bisim, "_refine", lambda *a: refine_calls.append(1) or refine(*a))
 
     for name, code, n_classes in [("A2", 1, 4), ("A1", 0, 3)]:
         for witness in ([], ["--witness"]):
             classes_calls.clear()
-            refine_calls.clear()
             out = io.StringIO()
-            with contextlib.redirect_stdout(out):
+            with record() as entries, contextlib.redirect_stdout(out):
                 assert run(["check-comp-bisim", path, "A1", path, name, *witness]) == code
             assert len(classes_calls) == 1
-            assert len(refine_calls) == 2
+            assert len(refinements(entries)) == 2
             assert f"classes: {n_classes}" in out.getvalue()
             pairs = [
                 tuple(line.split(" ~ "))

@@ -11,7 +11,10 @@ from hypothesis import given, strategies as st
 
 from afsm import (
     expand,
+    induce_fsm,
     load_fixture,
+    machine_classes,
+    parse,
     quotient,
     record,
     reduce,
@@ -21,6 +24,7 @@ from afsm import (
     validate_fsm,
 )
 from afsm import model
+from afsm.formats import serialize_fsm
 from afsm.model import (
     AlphabetViolation,
     BadInitial,
@@ -33,7 +37,7 @@ from afsm.model import (
     UnknownMachine,
     _label_key,
 )
-from conftest import hyp_machines, random_fsm
+from conftest import hyp_arenas, hyp_fsms, hyp_machines, random_fsm
 
 
 def make_m1():
@@ -224,14 +228,54 @@ def test_successors():
 def test_successors_of_a_replaced_machine_are_its_own():
     m = make_m1()
     assert m.successors("1") == [(frozenset({"z1"}), "2")]
-    # the successor cache belongs to one machine: a copy with other
-    # transitions computes its own
+    # successors are read from the copy's own transitions: a copy without
+    # transitions has none
     bare = dataclasses.replace(m, transitions=())
     assert bare.successors("1") == []
     assert bare.successors("2") == []
     # and takes no part in equality
     assert m == make_m1()
     assert bare == dataclasses.replace(make_m1(), transitions=())
+
+
+def shuffled_text(m, rng) -> str:
+    """The text of ``m`` with its state lines, and its transition lines, in shuffled order."""
+    lines = serialize_fsm(m).split("\n")
+    states = [line for line in lines if line.startswith("  state ")]
+    trans = [line for line in lines if line.startswith("  trans ")]
+    rest = [line for line in lines if line not in states and line not in trans]
+    rng.shuffle(states)
+    rng.shuffle(trans)
+    return "\n".join(rest[:3] + states + rest[3:-1] + trans + rest[-1:]) + "\n"
+
+
+@given(hyp_machines("m"), hyp_fsms("f", True), hyp_arenas(), st.randoms(use_true_random=False))
+def test_every_builder_hands_over_where_each_state_starts(m, f, arena, rng):
+    # successors(s) reads the transitions from where the machine says the
+    # moves of s start; they must be exactly the transitions out of s, for
+    # whichever code built the machine and put its transitions in order
+    names = [f"r{i}" for i in range(len(m.states))]
+    rng.shuffle(names)
+    built = [m, f, quotient(m), quotient(f), m.renamed("r", dict(zip(m.states, names)))]
+    for x in (m, f):
+        built += [parse(serialize_fsm(x)).fsms[x.id], parse(shuffled_text(x, rng)).fsms[x.id]]
+    modes = ["full", "accessible"] if all(v.initial is not None for _, v in arena.vertices) else ["full"]
+    for mode in modes:
+        flat = expand(arena, mode=mode).fsm
+        built += [flat, quotient(flat)]
+    built.append(induce_fsm(arena, machine_classes(arena)))
+    for x in built:
+        moves = {s: [] for s in x.states}
+        for src, label, dst in x.transitions:
+            moves[src].append((label, dst))
+        assert {s: x.successors(s) for s in x.states} == moves
+
+
+def test_where_states_start_is_outside_equality_hash_and_repr():
+    m = make_m1()
+    other = dataclasses.replace(m, _starts={"1": 1, "2": 0})
+    assert m == other and hash(m) == hash(other)
+    assert repr(m) == repr(other) and "_starts" not in repr(m)
 
 
 def test_machines_hash_by_value_without_reading_their_states_or_transitions():
@@ -278,7 +322,13 @@ def test_only_the_trusted_constructor_builds_machines():
 
 
 def test_only_the_indexer_numbers_states():
-    # model._index is the one place all of a machine's states become positions
+    # model._reach is the one walk that turns a machine's states into
+    # positions, all of them or those its initial state reaches: it alone
+    # enumerates a machine's states, and it and Fsm.successors alone read
+    # where each state's transitions start
+    def reads_starts(node):
+        return node.attr == "_starts" and isinstance(node.ctx, ast.Load)
+
     def enumerates_states(call):
         return (
             isinstance(call.func, ast.Name)
@@ -288,7 +338,8 @@ def test_only_the_indexer_numbers_states():
             and call.args[0].attr == "states"
         )
 
-    assert calls_in_package(enumerates_states) == {"model.py": ["_index"]}
+    assert calls_in_package(enumerates_states) == {"model.py": ["_reach"]}
+    assert calls_in_package(reads_starts, ast.Attribute) == {"model.py": ["successors", "_reach"]}
 
 
 def test_only_the_one_fold_reads_the_stripped_moves():
@@ -433,6 +484,22 @@ def test_the_record_of_reduce_holds_its_stages_at_their_depths():
     last = entries[8]
     assert (last["states"], last["blocks"]) == (306, len(minimal.states))
     assert last["moves"] > last["states"]
+    assert explore["transitions"] == last["moves"]  # one move per successor explored
+
+
+@pytest.mark.parametrize("mode", ["full", "accessible"])
+def test_the_record_holds_the_sizes_of_explore_and_quotient(mode):
+    name, path = ("ecoli_min", "ecoli.afsm") if mode == "accessible" else ("euclid", "euclid.afsm")
+    arena = load_fixture(path).arenas[name]
+    with record() as entries:
+        flat = expand(arena, mode=mode).fsm
+        minimal = quotient(flat)
+    (explore,) = [e for e in entries if e["stage"] == "explore"]
+    assert (explore["mode"], explore["states"]) == (mode, len(flat.states))
+    assert explore["transitions"] == len(flat.transitions)
+    (q,) = [e for e in entries if e["stage"] == "quotient"]
+    assert (q["states"], q["states_out"]) == (len(flat.states), len(minimal.states))
+    assert q["depth"] == 0 and q["states_out"] < q["states"]
 
 
 def test_self_times_and_inner_totals_fit_in_their_stage():
